@@ -127,11 +127,6 @@ def _reason_text(system: ConstraintSystem, reason: tuple) -> str:
     if kind == "resolution":
         members = system.resolutions[reason[1]]
         return "resolution " + " ".join(f'"{system.labels[m]}"' for m in members)
-    if kind == "sum":
-        tracked = [t for t in system.sums if t.whole_node is not None]
-        s = tracked[reason[1]]
-        parts = " ".join(f'"{system.labels[m]}"' for m in s.parts)
-        return f'sum "{system.labels[s.whole_node]}" = {parts}'
     if kind == "fixed":
         return f'fixed "{system.labels[reason[1]]}"'
     if kind == "decision":

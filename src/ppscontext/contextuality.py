@@ -66,19 +66,6 @@ def split_complement(scenario: Scenario, p: Projector) -> Decomposition:
     return Decomposition(p=p, q=q, r=r)
 
 
-@dataclass(frozen=True)
-class SumConstraint:
-    """Record that ``whole`` equals the orthogonal sum of the part nodes.
-
-    The whole is kept as a plain projector; it is enforced during solving
-    only when it coincides with a node (``whole_node`` is not None).
-    """
-
-    whole: Projector
-    whole_node: int | None
-    parts: tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
     """0/1 constraint system over deduplicated projector nodes.
@@ -87,7 +74,9 @@ class ConstraintSystem:
     exclusions:  orthogonal node pairs; at most one may take value 1.
     resolutions: mutually orthogonal node sets summing to the identity;
                  exactly one member takes value 1.
-    sums:        whole-equals-sum-of-parts records.
+
+    These three kinds are the only constraints: that I - P equals the sum
+    of its parts Q + R is already stated by the resolution {P, Q, R}.
     """
 
     nodes: tuple[Projector, ...]
@@ -95,7 +84,6 @@ class ConstraintSystem:
     fixed: tuple[tuple[int, int], ...]
     exclusions: tuple[tuple[int, int], ...]
     resolutions: tuple[tuple[int, ...], ...]
-    sums: tuple[SumConstraint, ...]
 
 
 def ray_label(p: Projector) -> str | None:
@@ -141,10 +129,17 @@ def assemble_system(
     nodes,
     fixed,
     resolutions,
-    sums_raw,
+    sums_raw=(),
 ) -> ConstraintSystem:
-    """Finish a system: exclusions from pairwise orthogonality, canonical
-    labels, and sum wholes resolved against the node set."""
+    """Finish a system: exclusions from pairwise orthogonality and
+    canonical labels.
+
+    ``sums_raw`` is retired: sum constraints no longer exist, and the
+    parameter remains only for callers that still pass an empty fourth
+    positional argument.  A non-empty value raises ValueError.
+    """
+    if sums_raw:
+        raise ValueError("sum constraints are not supported; use resolutions")
     nodes = tuple(nodes)
     index = ProjectorIndex()
     for p in nodes:
@@ -162,17 +157,12 @@ def assemble_system(
         for j in range(i + 1, len(nodes))
         if is_orthogonal(nodes[i], nodes[j])
     )
-    sums = tuple(
-        SumConstraint(whole=whole, whole_node=index.find(whole), parts=tuple(parts))
-        for whole, parts in sums_raw
-    )
     return ConstraintSystem(
         nodes=nodes,
         labels=_make_labels(nodes),
         fixed=tuple(fixed),
         exclusions=exclusions,
         resolutions=tuple(tuple(r) for r in resolutions),
-        sums=sums,
     )
 
 
@@ -197,7 +187,6 @@ def build_constraint_system(
     fixed = tuple(dict.fromkeys([(pre_i, 1), (post_i, 1)]))
 
     resolutions: list[tuple[int, ...]] = []
-    sums_raw: list[tuple[Projector, tuple[int, ...]]] = []
     assignment = verdict.assignment
     for pvm in scenario.measurements:
         values = [assignment.value_of(e) for e in pvm.elements]
@@ -211,10 +200,9 @@ def build_constraint_system(
         resolution = (p_i, *parts)
         if resolution not in resolutions:
             resolutions.append(resolution)
-        sums_raw.append((p.complement(), parts))
 
     nodes = tuple(index.projector(i) for i in range(len(index)))
-    return assemble_system(nodes, fixed, resolutions, sums_raw)
+    return assemble_system(nodes, fixed, resolutions)
 
 
 @dataclass(frozen=True)
@@ -256,14 +244,6 @@ class _Search:
         for ri, members in enumerate(system.resolutions):
             for m in members:
                 self.res_of[m].append(ri)
-        self.tracked_sums = [
-            (s.whole_node, s.parts) for s in system.sums if s.whole_node is not None
-        ]
-        self.sum_of: list[list[int]] = [[] for _ in range(n)]
-        for si, (whole, parts) in enumerate(self.tracked_sums):
-            self.sum_of[whole].append(si)
-            for m in parts:
-                self.sum_of[m].append(si)
         # Branching order: fixed nodes first, then descending exclusion
         # degree with the label as tie-breaker.
         degree = [len(self.excl_of[i]) for i in range(n)]
@@ -299,10 +279,6 @@ class _Search:
                 conflict = self._apply_resolution(ri, values, queue, log)
                 if conflict is not None:
                     return conflict
-            for si in self.sum_of[node]:
-                conflict = self._apply_sum(si, values, queue, log)
-                if conflict is not None:
-                    return conflict
         return None
 
     def _apply_resolution(self, ri, values, queue, log):
@@ -321,37 +297,6 @@ class _Search:
         if not unknown:
             return reason
         if len(unknown) == 1:
-            return self.force(unknown[0], 1, reason, values, queue, log)
-        return None
-
-    def _apply_sum(self, si, values, queue, log):
-        whole, parts = self.tracked_sums[si]
-        reason = ("sum", si)
-        v_whole = values[whole]
-        known = sum(values[m] for m in parts if values[m] is not None)
-        unknown = [m for m in parts if values[m] is None]
-        if known > 1:
-            return reason
-        if v_whole == 0:
-            if known > 0:
-                return reason
-            for m in unknown:
-                conflict = self.force(m, 0, reason, values, queue, log)
-                if conflict is not None:
-                    return conflict
-            return None
-        if known == 1:
-            conflict = self.force(whole, 1, reason, values, queue, log)
-            if conflict is not None:
-                return conflict
-            for m in unknown:
-                conflict = self.force(m, 0, reason, values, queue, log)
-                if conflict is not None:
-                    return conflict
-            return None
-        if not unknown:
-            return self.force(whole, 0, reason, values, queue, log)
-        if v_whole == 1 and len(unknown) == 1:
             return self.force(unknown[0], 1, reason, values, queue, log)
         return None
 
@@ -427,11 +372,6 @@ def check_assignment(system: ConstraintSystem, values) -> bool:
     for members in system.resolutions:
         if sum(values[m] for m in members) != 1:
             return False
-    for s in system.sums:
-        if s.whole_node is None:
-            continue
-        if values[s.whole_node] != sum(values[m] for m in s.parts):
-            return False
     return True
 
 
@@ -439,11 +379,15 @@ def verify_forced_value(scenario: Scenario, pvm: Pvm, k: int) -> bool:
     """Check that an extremal conditional probability is forced on every
     admissible noncontextual assignment.
 
-    Builds the single-PVM constraint system for element ``k`` (refined
-    through `split_complement`) and enumerates all 0/1 assignments: every
-    one that satisfies the constraints with both selections valued 1 must
-    give the element its extremal value.  Raises PreconditionViolated
-    when the conditional probability is not extremal.
+    With ``certain`` the element itself when its probability is 1 and its
+    complement when it is 0, the single-PVM system has the nodes pre,
+    post, the element, ``certain`` and the parts of `split_complement`
+    of ``certain``, and the one resolution {certain, Q, R}.  Both
+    selections are fixed to 1 and the element to the opposite of its
+    extremal value; the value is forced iff `solve` finds that UNSAT.
+    For probability 0 the resolution forces ``certain`` to 1, and the
+    element, orthogonal to it, to 0.  Raises PreconditionViolated when
+    the conditional probability is not extremal.
     """
     value = abl_probability(scenario, pvm, k)
     if abs(value - 1.0) <= EPS_LOGIC:
@@ -458,32 +402,18 @@ def verify_forced_value(scenario: Scenario, pvm: Pvm, k: int) -> bool:
     if element.rank == element.dim:
         return target == 1
 
+    certain = element if target == 1 else element.complement()
+    dec = split_complement(scenario, certain)
     index = ProjectorIndex()
     pre_i = index.add(scenario.pre)
     post_i = index.add(scenario.post)
     element_i = index.add(element)
-    if target == 1:
-        dec = split_complement(scenario, element)
-        parts = tuple(index.add(x) for x in (dec.q, dec.r) if x.rank > 0)
-        resolutions = ((element_i, *parts),)
-        sums_raw = [(element.complement(), parts)]
-    else:
-        dec = split_complement(scenario, element.complement())
-        parts = tuple(index.add(x) for x in (dec.q, dec.r) if x.rank > 0)
-        resolutions = ()
-        sums_raw = [(element, parts)]
+    certain_i = index.add(certain)
+    parts = tuple(index.add(x) for x in (dec.q, dec.r) if x.rank > 0)
     nodes = tuple(index.projector(i) for i in range(len(index)))
-    fixed = tuple(dict.fromkeys([(pre_i, 1), (post_i, 1)]))
-    system = assemble_system(nodes, fixed, resolutions, sums_raw)
-
-    n = len(nodes)
-    for bits in range(2**n):
-        values = tuple((bits >> i) & 1 for i in range(n))
-        if not check_assignment(system, values):
-            continue
-        if values[element_i] != target:
-            return False
-    return True
+    fixed = tuple(dict.fromkeys([(pre_i, 1), (post_i, 1), (element_i, 1 - target)]))
+    system = assemble_system(nodes, fixed, ((certain_i, *parts),))
+    return solve(system).status == "UNSAT"
 
 
 def export_orthogonality_graph(system: ConstraintSystem) -> str:
@@ -507,7 +437,6 @@ def export_orthogonality_graph(system: ConstraintSystem) -> str:
 __all__ = [
     "Decomposition",
     "split_complement",
-    "SumConstraint",
     "ConstraintSystem",
     "ray_label",
     "assemble_system",

@@ -215,12 +215,6 @@ def projectors_close(p: Projector, q: Projector, tol: float = EPS_PROJ) -> bool:
     return p.dim == q.dim and max_abs(p.matrix - q.matrix) <= tol
 
 
-def vectors_from_projector(p: Projector) -> list[Vector]:
-    """An orthonormal basis of the range of ``p`` (empty for rank 0)."""
-    w, v = np.linalg.eigh(p.matrix)
-    return [Vector(v[:, i]) for i in range(p.dim) if w[i] > 0.5]
-
-
 __all__ = [
     "EPS_PROJ",
     "EPS_ORTH",
@@ -237,6 +231,5 @@ __all__ = [
     "meet",
     "range_projector",
     "projectors_close",
-    "vectors_from_projector",
     "max_abs",
 ]

@@ -31,7 +31,6 @@ EPS_LOGIC = 1e-7
 
 PROV_ABL = "abl-direct"
 PROV_CLOSURE = "closure-derived"
-PROV_CONSTANT = "forced-constant"
 
 
 def fingerprint(p: Projector) -> bytes:
@@ -389,7 +388,6 @@ __all__ = [
     "EPS_LOGIC",
     "PROV_ABL",
     "PROV_CLOSURE",
-    "PROV_CONSTANT",
     "fingerprint",
     "ProjectorIndex",
     "LogicalAssignment",

@@ -77,7 +77,6 @@ def eight_ray_system() -> ConstraintSystem:
         nodes,
         fixed=((0, 1), (1, 1)),
         resolutions=((2, 3, 4), (5, 6, 7)),
-        sums_raw=(),
     )
 
 

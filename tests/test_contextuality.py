@@ -30,8 +30,8 @@ from ppscontext.linalg import (
     projector_from_vectors,
     projectors_close,
 )
-from ppscontext.measurement import Pvm, Scenario
-from ppscontext.paradox import detect_paradox
+from ppscontext.measurement import Pvm, Scenario, abl_probability
+from ppscontext.paradox import EPS_LOGIC, detect_paradox
 from ppscontext.scenarios import eight_ray_system, three_box
 
 CORPUS = paradox_corpus(seed=515, count=8)
@@ -48,12 +48,6 @@ def brute_force_status(system: ConstraintSystem) -> str:
             continue
         if any(sum(values[m] for m in members) != 1 for members in system.resolutions):
             continue
-        if any(
-            s.whole_node is not None
-            and values[s.whole_node] != sum(values[m] for m in s.parts)
-            for s in system.sums
-        ):
-            continue
         return "SAT"
     return "UNSAT"
 
@@ -69,13 +63,6 @@ def replay_trace(system: ConstraintSystem, cert) -> bool:
         members = system.resolutions[cert.conflict[1]]
         known = [values[m] for m in members if m in values]
         return sum(known) > 1 or (len(known) == len(members) and sum(known) != 1)
-    if kind == "sum":
-        tracked = [s for s in system.sums if s.whole_node is not None]
-        s = tracked[cert.conflict[1]]
-        involved = [s.whole_node, *s.parts]
-        if any(m not in values for m in involved):
-            return sum(values.get(m, 0) for m in s.parts) > 1
-        return values[s.whole_node] != sum(values[m] for m in s.parts)
     return False
 
 
@@ -175,7 +162,7 @@ def test_solve_three_box_trace_ends_at_box_exclusion(box3):
 def test_solve_trivial_resolution_is_sat():
     p = projector_from_vectors([[1, 0]])
     system = assemble_system(
-        [p, p.complement()], fixed=((0, 1),), resolutions=((0, 1),), sums_raw=()
+        [p, p.complement()], fixed=((0, 1),), resolutions=((0, 1),)
     )
     cert = solve(system)
     assert cert.status == "SAT"
@@ -219,7 +206,6 @@ def test_solve_is_node_order_independent():
             resolutions=tuple(
                 tuple(inverse[m] for m in members) for members in system.resolutions
             ),
-            sums=system.sums,
         )
         assert solve(permuted).status == "UNSAT"
 
@@ -240,6 +226,19 @@ def test_verify_forced_value_three_box(box3):
     for pvm in box3.measurements:
         for k in range(len(pvm.elements)):
             assert verify_forced_value(box3, pvm, k)
+
+
+def test_verify_forced_value_on_corpus_both_targets(box3):
+    counts = {0: 0, 1: 0}
+    for scenario in [box3, *CORPUS]:
+        for pvm in scenario.measurements:
+            for k in range(len(pvm.elements)):
+                p = abl_probability(scenario, pvm, k)
+                if abs(p - 1) > EPS_LOGIC and abs(p) > EPS_LOGIC:
+                    continue
+                counts[round(p)] += 1
+                assert verify_forced_value(scenario, pvm, k)
+    assert counts[0] > 0 and counts[1] > 0
 
 
 def test_verify_forced_value_trivial_repeat():
@@ -267,6 +266,14 @@ def test_ray_label_canonical_scaling():
     assert ray_label(projector_from_vectors([[1, 0], [0, 1]])) is None
 
 
+def test_assemble_system_retired_fourth_argument():
+    p = projector_from_vectors([[1, 0]])
+    system = assemble_system([p, p.complement()], ((0, 1),), ((0, 1),), ())
+    assert system.resolutions == ((0, 1),)
+    with pytest.raises(ValueError):
+        assemble_system([p, p.complement()], (), ((0, 1),), [(p, (0,))])
+
+
 def test_export_golden_three_box(box3):
     import pathlib
 
@@ -278,7 +285,7 @@ def test_export_golden_three_box(box3):
 def test_export_two_node_graph():
     p = projector_from_vectors([[1, 0]])
     system = assemble_system(
-        [p, p.complement()], fixed=(), resolutions=((0, 1),), sums_raw=()
+        [p, p.complement()], fixed=(), resolutions=((0, 1),)
     )
     text = export_orthogonality_graph(system)
     assert text.count(" -- ") == 1
@@ -305,7 +312,7 @@ def test_non_rank_one_nodes_are_annotated():
     plane = projector_from_vectors([[1, 0, 0], [0, 1, 0]])
     ray = projector_from_vectors([[0, 0, 1]])
     system = assemble_system(
-        [plane, ray], fixed=(), resolutions=((0, 1),), sums_raw=()
+        [plane, ray], fixed=(), resolutions=((0, 1),)
     )
     text = export_orthogonality_graph(system)
     assert "rank-too-high" in text

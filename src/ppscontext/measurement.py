@@ -208,6 +208,8 @@ def simulate_frequencies(
     traces), updates again, then measures {post, I-post} and discards on
     failure.  Returns, per outcome index, the conditional frequency among
     fully accepted runs together with that outcome's accepted count.
+    An outcome of Born weight at most EPS_PROB, on which ``luders_update``
+    refuses to condition, never passes post-selection.
 
     Sampling uses the counter-based Philox generator, so results are
     deterministic for a fixed seed.  Raises NoAcceptedRuns when every
@@ -226,16 +228,15 @@ def simulate_frequencies(
     # of the I/d starting point; only the acceptance probability depends
     # on it.
     p_accept_pre = float(np.trace(pre).real) / d
-    rho_pre = pre / np.trace(pre).real
+    rho_pre = Operator(pre / np.trace(pre).real)
 
     n_outcomes = len(pvm.elements)
     born = np.empty(n_outcomes)
     accept_post = np.zeros(n_outcomes)
     for k, e in enumerate(pvm.elements):
-        pk = e.matrix
-        born[k] = max(float(np.trace(pk @ rho_pre).real), 0.0)
-        if born[k] > 0.0:
-            rho_k = pk @ rho_pre @ pk / born[k]
+        born[k] = max(float(np.trace(e.matrix @ rho_pre.matrix).real), 0.0)
+        if born[k] > EPS_PROB:
+            rho_k = luders_update(rho_pre, e).matrix
             accept_post[k] = min(max(float(np.trace(post @ rho_k).real), 0.0), 1.0)
     cumulative = np.cumsum(born)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ImpossiblePostselection
+from .errors import DimensionMismatch, ImpossiblePostselection
 from .linalg import EPS_PROJ, Projector, commutes, max_abs
 from .measurement import AblTable, Scenario, abl_table
 
@@ -33,44 +33,46 @@ PROV_ABL = "abl-direct"
 PROV_CLOSURE = "closure-derived"
 
 
-def fingerprint(p: Projector) -> bytes:
-    """Canonical hash key: entries rounded to 12 decimals, -0 normalized."""
-    m = p.matrix
-    re = np.round(m.real, 12) + 0.0
-    im = np.round(m.imag, 12) + 0.0
-    return re.tobytes() + im.tobytes()
-
-
 class ProjectorIndex:
-    """Deduplicates projectors into integer slots.
+    """Deduplicates projectors of one dimension into integer slots.
 
-    Lookup is by rounded-entry fingerprint with a linear-scan fallback at
-    tolerance EPS_PROJ, so two matrices that straddle a rounding boundary
-    still land in one slot.  Instances stay tiny, the scan is cheap.
+    Two projectors share a slot when their entries agree within EPS_PROJ,
+    the ``projectors_close`` criterion; ``find`` returns the first stored
+    match.  The matrices are kept stacked so a lookup is one array
+    comparison.  A projector of another dimension raises DimensionMismatch.
     """
 
     def __init__(self) -> None:
-        self._slots: dict[bytes, int] = {}
         self._items: list[Projector] = []
+        self._stack = np.empty((0, 0, 0), dtype=complex)
 
     def find(self, p: Projector) -> int | None:
-        key = fingerprint(p)
-        slot = self._slots.get(key)
-        if slot is not None:
-            return slot
-        for i, known in enumerate(self._items):
-            if known.dim == p.dim and max_abs(known.matrix - p.matrix) <= EPS_PROJ:
-                self._slots[key] = i
-                return i
-        return None
+        n = len(self._items)
+        if n == 0:
+            return None
+        if p.dim != self._stack.shape[1]:
+            raise DimensionMismatch("projector dimension differs from the index's")
+        close = np.abs(self._stack[:n] - p.matrix).max(axis=(1, 2)) <= EPS_PROJ
+        slot = int(np.argmax(close))
+        return slot if close[slot] else None
 
     def add(self, p: Projector) -> int:
         slot = self.find(p)
         if slot is None:
             slot = len(self._items)
+            if slot == len(self._stack):
+                # Capacity doubles, so appending stays amortised O(d^2);
+                # np.resize keeps the stored matrices as the leading rows.
+                self._stack = np.resize(self._stack, (max(8, 2 * slot), p.dim, p.dim))
+            self._stack[slot] = p.matrix
             self._items.append(p)
-            self._slots[fingerprint(p)] = slot
         return slot
+
+    def copy(self) -> "ProjectorIndex":
+        out = ProjectorIndex()
+        out._items = list(self._items)
+        out._stack = self._stack.copy()
+        return out
 
     def projector(self, slot: int) -> Projector:
         return self._items[slot]
@@ -113,9 +115,8 @@ class LogicalAssignment:
         """Record a value; the caller must have ruled out conflicts."""
         if p.rank in (0, p.dim):
             return
-        slot = self._index.find(p)
-        if slot is None:
-            self._index.add(p)
+        slot = self._index.add(p)
+        if slot == len(self._values):
             self._values.append(int(value))
             self._provenance.append(provenance)
         elif self._values[slot] != int(value):
@@ -129,8 +130,9 @@ class LogicalAssignment:
 
     def copy(self) -> "LogicalAssignment":
         out = LogicalAssignment(self._dim)
-        for p, v, tag in self.entries():
-            out.set(p, v, tag)
+        out._index = self._index.copy()
+        out._values = list(self._values)
+        out._provenance = list(self._provenance)
         return out
 
 
@@ -164,24 +166,18 @@ def recheck_violation(v: Violation) -> bool:
         vp, existing = v.values
         matrices_ok = max_abs(np.eye(p.dim) - p.matrix - comp.matrix) <= EPS_PROJ
         return matrices_ok and v.derived == 1 - vp and v.derived != existing
-    if v.conditions == ("ac0", "ac4"):
+    if v.conditions in (("ac0", "ac4"), ("ac4",)):
         p, q, pq, join = v.projectors
+        operands_ok = (
+            commutes(p, q)
+            and max_abs(p.matrix @ q.matrix - pq.matrix) <= EPS_PROJ
+            and max_abs(p.matrix + q.matrix - pq.matrix - join.matrix) <= EPS_PROJ
+        )
+        if v.conditions == ("ac4",):
+            vp, vq, vpq, existing = v.values
+            return operands_ok and v.derived == vp + vq - vpq and v.derived != existing
         vp, vq, vpq = v.values
-        matrices_ok = (
-            commutes(p, q)
-            and max_abs(p.matrix @ q.matrix - pq.matrix) <= EPS_PROJ
-            and max_abs(p.matrix + q.matrix - pq.matrix - join.matrix) <= EPS_PROJ
-        )
-        return matrices_ok and v.derived == vp + vq - vpq and not 0 <= v.derived <= 1
-    if v.conditions == ("ac4",):
-        p, q, pq, join = v.projectors
-        vp, vq, vpq, existing = v.values
-        matrices_ok = (
-            commutes(p, q)
-            and max_abs(p.matrix @ q.matrix - pq.matrix) <= EPS_PROJ
-            and max_abs(p.matrix + q.matrix - pq.matrix - join.matrix) <= EPS_PROJ
-        )
-        return matrices_ok and v.derived == vp + vq - vpq and v.derived != existing
+        return operands_ok and v.derived == vp + vq - vpq and not 0 <= v.derived <= 1
     if v.conditions == ("assignment-conflict",):
         first, second = v.values
         return first != second
@@ -388,7 +384,6 @@ __all__ = [
     "EPS_LOGIC",
     "PROV_ABL",
     "PROV_CLOSURE",
-    "fingerprint",
     "ProjectorIndex",
     "LogicalAssignment",
     "NotLogical",

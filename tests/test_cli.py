@@ -3,10 +3,13 @@
 import json
 import pathlib
 
+import pytest
+
 from ppscontext.cli import main
 from ppscontext.scenarios import save_scenario, three_box
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "three_box.dot"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "three_box.dot"
 
 
 def run(capsys, *argv):
@@ -27,6 +30,19 @@ def test_prove_clifton_rays(capsys):
     code, out, _ = run(capsys, "prove", "--builtin", "clifton-rays")
     assert code == 0
     assert "nodes=8" in out
+
+
+@pytest.mark.parametrize(
+    "builtin, golden",
+    [("three-box", "three_box_prove.txt"), ("clifton-rays", "clifton_rays_prove.txt")],
+)
+def test_prove_report_matches_golden(capsys, builtin, golden):
+    # node order and labels follow ProjectorIndex slots, so the whole
+    # report is pinned, not just its verdict lines
+    code, out, err = run(capsys, "prove", "--builtin", builtin)
+    assert code == 0
+    assert err == ""
+    assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
 
 
 def test_detect_three_box_exits_zero(capsys):

@@ -18,6 +18,7 @@ from ppscontext.contextuality import (
     verify_forced_value,
 )
 from ppscontext.errors import (
+    DimensionMismatch,
     NonorthogonalityRequired,
     NotAParadox,
     PreconditionViolated,
@@ -272,6 +273,13 @@ def test_assemble_system_retired_fourth_argument():
     assert system.resolutions == ((0, 1),)
     with pytest.raises(ValueError):
         assemble_system([p, p.complement()], (), ((0, 1),), [(p, (0,))])
+
+
+def test_assemble_system_rejects_mixed_dimensions():
+    q3 = projector_from_vectors([[1, 0, 0]])
+    q2 = projector_from_vectors([[0, 1]])
+    with pytest.raises(DimensionMismatch):
+        assemble_system([q3, q3.complement(), q2], (), ((0, 1, 2),))
 
 
 def test_export_golden_three_box(box3):

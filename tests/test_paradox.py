@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ppscontext.errors import ImpossiblePostselection
+from ppscontext.errors import DimensionMismatch, ImpossiblePostselection
 from ppscontext.generate import conjugate_scenario, random_unitary, rng_for
-from ppscontext.linalg import Projector, projector_from_vectors, projectors_close
+from ppscontext.linalg import (
+    EPS_PROJ,
+    Projector,
+    projector_from_vectors,
+    projectors_close,
+)
 from ppscontext.measurement import Pvm, Scenario, abl_table
 from ppscontext.paradox import (
     PROV_ABL,
@@ -18,7 +23,6 @@ from ppscontext.paradox import (
     Violation,
     closure_extend,
     detect_paradox,
-    fingerprint,
     logical_assignment,
     recheck_violation,
 )
@@ -38,7 +42,6 @@ def test_fingerprint_identifies_nearby_projectors():
     wiggled = Projector.from_matrix(p.matrix + 7.5e-15)
     index = ProjectorIndex()
     assert index.add(p) == index.add(wiggled)
-    assert fingerprint(p) == fingerprint(wiggled)
 
 
 def test_projector_index_tolerance_fallback():
@@ -48,6 +51,43 @@ def test_projector_index_tolerance_fallback():
     perturbed = Projector.from_matrix(p.matrix + 4.9e-13)
     index = ProjectorIndex()
     assert index.add(p) == index.add(perturbed)
+
+
+def tilted_ray(angle):
+    # rank-1 projector whose off-diagonal entries sit about ``angle`` away
+    # from those of basis_proj(3, 0)
+    v = np.array([np.cos(angle), np.sin(angle), 0.0])
+    return Projector.from_matrix(np.outer(v, v))
+
+
+def test_projector_index_separates_projectors_beyond_tolerance():
+    p, shifted = tilted_ray(0.0), tilted_ray(3 * EPS_PROJ)
+    index = ProjectorIndex()
+    assert index.add(p) == 0
+    assert index.add(shifted) == 1
+    assert index.find(shifted) == 1
+    assert len(index) == 2
+
+
+def test_projector_index_find_returns_first_match():
+    # p and far are 1.6 EPS_PROJ apart; mid lies within EPS_PROJ of both
+    p, mid, far = (tilted_ray(t * EPS_PROJ) for t in (0.0, 0.8, 1.6))
+    index = ProjectorIndex()
+    assert index.add(p) == 0
+    assert index.add(far) == 1
+    assert index.find(mid) == 0
+    assert index.add(mid) == 0
+    assert index.projector(0) is p
+
+
+def test_projector_index_rejects_mixed_dimensions():
+    index = ProjectorIndex()
+    index.add(basis_proj(3, 0))
+    with pytest.raises(DimensionMismatch):
+        index.find(basis_proj(2, 0))
+    with pytest.raises(DimensionMismatch):
+        index.add(basis_proj(2, 0))
+    assert len(index) == 1
 
 
 def test_assignment_constants():

@@ -1,8 +1,15 @@
 """Command-line interface.
 
-    ppscontext {abl|detect|prove|simulate|graph}
-               (--builtin NAME | --file PATH)
-               [--pvm NAME] [--samples N] [--seed S] [--depth D] [--out PATH]
+    ppscontext abl      (--builtin NAME | --file PATH)
+    ppscontext detect   (--builtin NAME | --file PATH) [--depth D]
+    ppscontext prove    (--builtin NAME | --file PATH) [--depth D]
+    ppscontext simulate (--builtin NAME | --file PATH) --pvm NAME
+                        [--samples N] [--seed S]
+    ppscontext graph    (--builtin NAME | --file PATH) [--depth D] [--out PATH]
+
+``--depth`` (default 3) bounds the closure rounds, so "no paradox" holds
+only up to that depth.  A subcommand rejects every option it does not
+read, and out-of-range counts, as usage errors.
 
 Exit codes: ``prove`` returns 0 when the search is UNSAT (noncontextual
 assignment impossible), 2 when it is SAT, 1 on error; ``detect`` returns
@@ -14,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .contextuality import (
@@ -25,98 +31,61 @@ from .contextuality import (
     solve,
 )
 from .errors import ToolError
-from .measurement import AblTable, Scenario, abl_table, simulate_frequencies
+from .measurement import AblTable, Pvm, Scenario, abl_table, simulate_frequencies
 from .paradox import ParadoxVerdict, detect_paradox
 from .scenarios import load_builtin, load_scenario_file, require_scenario
+
+# A report part is (title, human-readable lines, machine key/value pairs);
+# the machine block mirrors every number of the sections.
+Part = tuple[str, list[str], list[tuple[str, str]]]
 
 
 def _fmt(p: float) -> str:
     return f"{p:.12f}"
 
 
-@dataclass(frozen=True)
-class Report:
-    """Human-readable sections plus a machine block mirroring every number."""
-
-    sections: tuple[tuple[str, str], ...]
-    machine: tuple[tuple[str, str], ...]
-
-    def render(self) -> str:
-        chunks = []
-        for title, body in self.sections:
-            chunks.append(f"= {title} =\n{body}")
-        machine_lines = "\n".join(f"{k}={v}" for k, v in self.machine)
-        chunks.append(f"= machine =\n{machine_lines}")
-        return "\n\n".join(chunks) + "\n"
-
-
-def _scenario_section(scenario: Scenario) -> tuple[str, str]:
+def _scenario_part(scenario: Scenario) -> Part:
+    overlap = _fmt(scenario.pre_post_overlap())
     pvms = " ".join(f"{m.name}[{len(m)}]" for m in scenario.measurements)
-    body = "\n".join(
-        [
-            f"dimension: {scenario.dim}",
-            f"pre: rank {scenario.pre.rank}",
-            f"post: rank {scenario.post.rank}",
-            f"pre/post overlap: {_fmt(scenario.pre_post_overlap())}",
-            f"measurements: {pvms}",
-        ]
-    )
-    return ("scenario", body)
-
-
-def _scenario_machine(scenario: Scenario) -> list[tuple[str, str]]:
-    return [
-        ("dimension", str(scenario.dim)),
-        ("overlap", _fmt(scenario.pre_post_overlap())),
+    lines = [
+        f"dimension: {scenario.dim}",
+        f"pre: rank {scenario.pre.rank}",
+        f"post: rank {scenario.post.rank}",
+        f"pre/post overlap: {overlap}",
+        f"measurements: {pvms}",
     ]
+    return "scenario", lines, [("dimension", str(scenario.dim)), ("overlap", overlap)]
 
 
-def _abl_section(scenario: Scenario, table: AblTable) -> tuple[str, str]:
-    lines = []
+def _abl_part(scenario: Scenario, table: AblTable) -> Part:
+    lines, pairs = [], []
     for pvm in scenario.measurements:
         weight = table.postselection_weights[pvm.name]
         lines.append(f"{pvm.name}: weight {_fmt(weight)}")
+        pairs.append((f"weight.{pvm.name}", _fmt(weight)))
         for k in range(len(pvm.elements)):
             value = table.entries.get((pvm.name, k))
             if value is not None:
                 lines.append(f"  p({pvm.name}[{k}]) = {_fmt(value)}")
+                pairs.append((f"abl.{pvm.name}.{k}", _fmt(value)))
         if weight == 0.0:
             lines.append("  post-selection impossible; no entries")
-    return ("abl", "\n".join(lines))
+    return "abl", lines, pairs
 
 
-def _abl_machine(scenario: Scenario, table: AblTable) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    for pvm in scenario.measurements:
-        pairs.append((f"weight.{pvm.name}", _fmt(table.postselection_weights[pvm.name])))
-        for k in range(len(pvm.elements)):
-            value = table.entries.get((pvm.name, k))
-            if value is not None:
-                pairs.append((f"abl.{pvm.name}.{k}", _fmt(value)))
-    return pairs
-
-
-def _verdict_section(verdict: ParadoxVerdict) -> tuple[str, str]:
-    lines = [
-        f"logical: {str(verdict.is_logical).lower()}",
-        f"paradox: {str(verdict.is_paradox).lower()}",
-    ]
+def _verdict_part(verdict: ParadoxVerdict) -> Part:
+    logical = str(verdict.is_logical).lower()
+    paradox = str(verdict.is_paradox).lower()
+    lines = [f"logical: {logical}", f"paradox: {paradox}"]
+    pairs = [("logical", logical), ("paradox", paradox)]
     for name, k, value in verdict.non_extremal:
         lines.append(f"  non-extremal: p({name}[{k}]) = {_fmt(value)}")
-    for v in verdict.violations:
-        lines.append(f"violation [{'+'.join(v.conditions)}]: {v.description}")
-    return ("verdict", "\n".join(lines))
-
-
-def _verdict_machine(verdict: ParadoxVerdict) -> list[tuple[str, str]]:
-    pairs = [
-        ("logical", str(verdict.is_logical).lower()),
-        ("paradox", str(verdict.is_paradox).lower()),
-    ]
     for i, v in enumerate(verdict.violations):
-        pairs.append((f"violation.{i}.conditions", "+".join(v.conditions)))
+        conditions = "+".join(v.conditions)
+        lines.append(f"violation [{conditions}]: {v.description}")
+        pairs.append((f"violation.{i}.conditions", conditions))
         pairs.append((f"violation.{i}.derived", _fmt(v.derived)))
-    return pairs
+    return "verdict", lines, pairs
 
 
 def _reason_text(system: ConstraintSystem, reason: tuple) -> str:
@@ -134,19 +103,23 @@ def _reason_text(system: ConstraintSystem, reason: tuple) -> str:
     return str(reason)
 
 
-def _certificate_section(
-    system: ConstraintSystem, cert: Certificate
-) -> tuple[str, str]:
+def _certificate_part(system: ConstraintSystem, cert: Certificate) -> Part:
     lines = [
         f"status: {cert.status}",
         f"nodes: {len(system.nodes)}",
         f"search branches: {cert.search_nodes}",
     ]
+    pairs = [
+        ("status", cert.status),
+        ("nodes", str(len(system.nodes))),
+        ("search_nodes", str(cert.search_nodes)),
+    ]
     if cert.status == "SAT":
-        assigned = " ".join(
-            f'"{system.labels[i]}"={v}' for i, v in enumerate(cert.witness)
-        )
-        lines.append(f"witness: {assigned}")
+        assigned = []
+        for i, v in enumerate(cert.witness):
+            assigned.append(f'"{system.labels[i]}"={v}')
+            pairs.append((f"witness.{i}", str(v)))
+        lines.append(f"witness: {' '.join(assigned)}")
     else:
         lines.append("trace:")
         for step in cert.trace:
@@ -154,78 +127,67 @@ def _certificate_section(
                 f'  "{system.labels[step.node]}" := {step.value}'
                 f"   [{_reason_text(system, step.reason)}]"
             )
-        lines.append(f"  contradiction: {_reason_text(system, cert.conflict)}")
-    return ("certificate", "\n".join(lines))
+        conflict = _reason_text(system, cert.conflict)
+        lines.append(f"  contradiction: {conflict}")
+        pairs.append(("conflict", conflict))
+    return "certificate", lines, pairs
 
 
-def _certificate_machine(
-    system: ConstraintSystem, cert: Certificate
-) -> list[tuple[str, str]]:
-    pairs = [
-        ("status", cert.status),
-        ("nodes", str(len(system.nodes))),
-        ("search_nodes", str(cert.search_nodes)),
-    ]
-    if cert.status == "SAT":
-        for i, v in enumerate(cert.witness):
-            pairs.append((f"witness.{i}", str(v)))
-    else:
-        pairs.append(("conflict", _reason_text(system, cert.conflict)))
-    return pairs
+def _frequencies_part(pvm: Pvm, samples: int, seed: int, result: dict) -> Part:
+    accepted = sum(count for _, count in result.values())
+    lines = [f"samples: {samples}", f"seed: {seed}", f"accepted: {accepted}"]
+    pairs = [("samples", str(samples)), ("seed", str(seed)), ("accepted", str(accepted))]
+    for k in sorted(result):
+        freq, count = result[k]
+        lines.append(f"freq({pvm.name}[{k}]) = {_fmt(freq)}   ({count} runs)")
+        pairs.append((f"freq.{pvm.name}.{k}", _fmt(freq)))
+        pairs.append((f"count.{pvm.name}.{k}", str(count)))
+    return "frequencies", lines, pairs
+
+
+def _print_report(*parts: Part) -> None:
+    """Each part's section, then one machine block of all pairs in part order."""
+    chunks = [f"= {title} =\n" + "\n".join(lines) for title, lines, _ in parts]
+    machine = [f"{k}={v}" for _, _, pairs in parts for k, v in pairs]
+    chunks.append("= machine =\n" + "\n".join(machine))
+    print("\n\n".join(chunks))
+
+
+def _load(args):
+    if args.builtin:
+        return load_builtin(args.builtin)
+    return load_scenario_file(args.file)
+
+
+def _system_for(args) -> tuple[ConstraintSystem, tuple[Part, ...]]:
+    """Constraint system plus the report parts describing its origin."""
+    obj = _load(args)
+    if isinstance(obj, ConstraintSystem):
+        return obj, ()
+    scenario = require_scenario(obj)
+    verdict = detect_paradox(scenario, depth=args.depth)
+    system = build_constraint_system(scenario, verdict)
+    return system, (_scenario_part(scenario), _verdict_part(verdict))
 
 
 def cmd_abl(args) -> int:
     scenario = require_scenario(_load(args))
-    table = abl_table(scenario)
-    report = Report(
-        sections=(_scenario_section(scenario), _abl_section(scenario, table)),
-        machine=tuple(_scenario_machine(scenario) + _abl_machine(scenario, table)),
-    )
-    print(report.render(), end="")
+    _print_report(_scenario_part(scenario), _abl_part(scenario, abl_table(scenario)))
     return 0
 
 
 def cmd_detect(args) -> int:
     scenario = require_scenario(_load(args))
-    table = abl_table(scenario)
+    abl = _abl_part(scenario, abl_table(scenario))
     verdict = detect_paradox(scenario, depth=args.depth)
-    report = Report(
-        sections=(
-            _scenario_section(scenario),
-            _abl_section(scenario, table),
-            _verdict_section(verdict),
-        ),
-        machine=tuple(
-            _scenario_machine(scenario)
-            + _abl_machine(scenario, table)
-            + _verdict_machine(verdict)
-        ),
-    )
-    print(report.render(), end="")
+    _print_report(_scenario_part(scenario), abl, _verdict_part(verdict))
     return 0 if verdict.is_paradox else 2
 
 
-def _system_for(args) -> tuple[ConstraintSystem, tuple, tuple]:
-    """Constraint system plus report sections/machine pairs for its origin."""
-    obj = _load(args)
-    if isinstance(obj, ConstraintSystem):
-        return obj, (), ()
-    scenario = require_scenario(obj)
-    verdict = detect_paradox(scenario, depth=args.depth)
-    system = build_constraint_system(scenario, verdict)
-    sections = (_scenario_section(scenario), _verdict_section(verdict))
-    machine = tuple(_scenario_machine(scenario) + _verdict_machine(verdict))
-    return system, sections, machine
-
-
 def cmd_prove(args) -> int:
-    system, sections, machine = _system_for(args)
+    system, parts = _system_for(args)
     cert = solve(system)
-    report = Report(
-        sections=sections + (_certificate_section(system, cert),),
-        machine=machine + tuple(_certificate_machine(system, cert)),
-    )
-    print(report.render(), end="")
+    _print_report(*parts, _certificate_part(system, cert))
     return 0 if cert.status == "UNSAT" else 2
 
 
@@ -238,31 +200,13 @@ def cmd_simulate(args) -> int:
     except KeyError as exc:
         raise ToolError(str(exc)) from exc
     result = simulate_frequencies(scenario, pvm, args.samples, args.seed)
-    accepted = sum(count for _, count in result.values())
-    lines = [f"samples: {args.samples}", f"seed: {args.seed}", f"accepted: {accepted}"]
-    machine: list[tuple[str, str]] = [
-        ("samples", str(args.samples)),
-        ("seed", str(args.seed)),
-        ("accepted", str(accepted)),
-    ]
-    for k in sorted(result):
-        freq, count = result[k]
-        lines.append(f"freq({pvm.name}[{k}]) = {_fmt(freq)}   ({count} runs)")
-        machine.append((f"freq.{pvm.name}.{k}", _fmt(freq)))
-        machine.append((f"count.{pvm.name}.{k}", str(count)))
-    report = Report(
-        sections=(
-            _scenario_section(scenario),
-            ("frequencies", "\n".join(lines)),
-        ),
-        machine=tuple(_scenario_machine(scenario) + machine),
-    )
-    print(report.render(), end="")
+    frequencies = _frequencies_part(pvm, args.samples, args.seed, result)
+    _print_report(_scenario_part(scenario), frequencies)
     return 0
 
 
 def cmd_graph(args) -> int:
-    system, _, _ = _system_for(args)
+    system, _ = _system_for(args)
     text = export_orthogonality_graph(system)
     if args.out:
         Path(args.out).write_text(text)
@@ -272,19 +216,38 @@ def cmd_graph(args) -> int:
     return 0
 
 
-COMMANDS = {
-    "abl": cmd_abl,
-    "detect": cmd_detect,
-    "prove": cmd_prove,
-    "simulate": cmd_simulate,
-    "graph": cmd_graph,
+def _count(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
+OPTIONS = {
+    "--pvm": dict(help="measurement name"),
+    "--samples": dict(type=_count(1), default=100000),
+    "--seed": dict(type=_count(0), default=0),
+    "--depth": dict(type=_count(0), default=3, help="closure rounds"),
+    "--out": dict(help="output path"),
 }
 
-
-def _load(args):
-    if args.builtin:
-        return load_builtin(args.builtin)
-    return load_scenario_file(args.file)
+# name: (handler, help, the options it reads)
+COMMANDS = {
+    "abl": (cmd_abl, "conditional probabilities of every outcome", ()),
+    "detect": (cmd_detect, "decide whether the scenario is a logical paradox",
+               ("--depth",)),
+    "prove": (cmd_prove, "derive and solve the noncontextuality constraint system",
+              ("--depth",)),
+    "simulate": (cmd_simulate, "Monte-Carlo frequencies for one measurement",
+                 ("--pvm", "--samples", "--seed")),
+    "graph": (cmd_graph, "export the orthogonality graph as DOT text",
+              ("--depth", "--out")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,22 +261,13 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ppscontext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("abl", "conditional probabilities of every outcome"),
-        ("detect", "decide whether the scenario is a logical paradox"),
-        ("prove", "derive and solve the noncontextuality constraint system"),
-        ("simulate", "Monte-Carlo frequencies for one measurement"),
-        ("graph", "export the orthogonality graph as DOT text"),
-    ):
+    for name, (_, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--builtin", help="builtin input name")
         group.add_argument("--file", help="scenario document path")
-        p.add_argument("--pvm", help="measurement name (simulate)")
-        p.add_argument("--samples", type=int, default=100000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--depth", type=int, default=3, help="closure rounds")
-        p.add_argument("--out", help="output path (graph)")
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
     return parser
 
 
@@ -323,7 +277,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except ToolError as exc:
         print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -257,8 +257,11 @@ def closure_extend(
     values they force; unknown products get v(P) v(Q), and the join value
     v(P) + v(Q) - v(PQ) is always computed with the now-known product
     value.  Returns a Violation the moment a derived value leaves {0, 1}
-    or contradicts an existing value.
+    or contradicts an existing value.  A negative ``depth`` raises
+    ValueError: zero rounds would be silently taken for "no paradox".
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     work = assignment.copy()
     dim = work.dim
     identity = np.eye(dim)

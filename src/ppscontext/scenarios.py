@@ -30,7 +30,6 @@ from .measurement import Pvm, Scenario
 
 THREE_BOX = "three-box"
 CLIFTON_RAYS = "clifton-rays"
-BUILTIN_NAMES = (THREE_BOX, CLIFTON_RAYS)
 
 
 def three_box() -> Scenario:
@@ -78,6 +77,10 @@ def eight_ray_system() -> ConstraintSystem:
         fixed=((0, 1), (1, 1)),
         resolutions=((2, 3, 4), (5, 6, 7)),
     )
+
+
+_BUILTINS = {THREE_BOX: three_box, CLIFTON_RAYS: eight_ray_system}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def _complex_scalar(value, where: str) -> complex:
@@ -223,12 +226,8 @@ def load_scenario(source) -> Scenario | ConstraintSystem:
     The builtin ``three-box`` is a Scenario; ``clifton-rays`` is a
     ready-made ConstraintSystem for direct solve/graph runs.
     """
-    name = str(source)
-    if name == THREE_BOX:
-        return three_box()
-    if name == CLIFTON_RAYS:
-        return eight_ray_system()
-    return load_scenario_file(source)
+    factory = _BUILTINS.get(str(source))
+    return factory() if factory else load_scenario_file(source)
 
 
 def require_scenario(obj) -> Scenario:
@@ -241,11 +240,11 @@ def require_scenario(obj) -> Scenario:
 
 
 def load_builtin(name: str) -> Scenario | ConstraintSystem:
-    if name not in BUILTIN_NAMES:
+    if name not in _BUILTINS:
         raise UnknownBuiltin(
             f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         )
-    return load_scenario(name)
+    return _BUILTINS[name]()
 
 
 __all__ = [

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from ppscontext.cli import main
+from ppscontext.cli import build_parser, main
 from ppscontext.scenarios import save_scenario, three_box
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -32,15 +32,30 @@ def test_prove_clifton_rays(capsys):
     assert "nodes=8" in out
 
 
+GOLDEN_REPORTS = [
+    (("prove", "--builtin", "three-box"), 0, "three_box_prove.txt"),
+    (("prove", "--builtin", "clifton-rays"), 0, "clifton_rays_prove.txt"),
+    (("abl", "--builtin", "three-box"), 0, "three_box_abl.txt"),
+    (("detect", "--builtin", "three-box"), 0, "three_box_detect.txt"),
+    (("detect", "--builtin", "three-box", "--depth", "0"), 2,
+     "three_box_detect_depth0.txt"),
+    # pre |0>, post |+>, Y basis: both outcomes 1/2, so not logical
+    (("detect", "--file", str(GOLDEN_DIR / "y_basis.json")), 2, "y_basis_detect.txt"),
+]
+
+
 @pytest.mark.parametrize(
-    "builtin, golden",
-    [("three-box", "three_box_prove.txt"), ("clifton-rays", "clifton_rays_prove.txt")],
+    "argv, code, golden",
+    [
+        pytest.param(argv, code, golden, id=f"{pathlib.Path(argv[2]).name}-{golden}")
+        for argv, code, golden in GOLDEN_REPORTS
+    ],
 )
-def test_prove_report_matches_golden(capsys, builtin, golden):
+def test_prove_report_matches_golden(capsys, argv, code, golden):
     # node order and labels follow ProjectorIndex slots, so the whole
     # report is pinned, not just its verdict lines
-    code, out, err = run(capsys, "prove", "--builtin", builtin)
-    assert code == 0
+    got, out, err = run(capsys, *argv)
+    assert got == code
     assert err == ""
     assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
 
@@ -151,6 +166,49 @@ def test_usage_error_exits_one(capsys):
     code, _, err = run(capsys, "abl")
     assert code == 1
     assert "UsageError" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--builtin", "three-box", "--pvm", "E1", "--samples", "0"),
+        ("simulate", "--builtin", "three-box", "--pvm", "E1", "--seed", "-1"),
+        ("detect", "--builtin", "three-box", "--depth", "-1"),
+    ],
+    ids=["samples-0", "seed-negative", "depth-negative"],
+)
+def test_out_of_range_count_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error UsageError: argument " + argv[-2] in err
+
+
+READS = {
+    "abl": (),
+    "detect": ("--depth",),
+    "prove": ("--depth",),
+    "simulate": ("--pvm", "--samples", "--seed"),
+    "graph": ("--depth", "--out"),
+}
+VALUES = {"--pvm": "E1", "--samples": "10", "--seed": "1", "--depth": "2",
+          "--out": "g.dot"}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command in READS for option in VALUES],
+)
+def test_subcommand_takes_only_the_options_it_reads(capsys, command, option):
+    argv = [command, "--builtin", "three-box", option, VALUES[option]]
+    if option in READS[command]:
+        args = build_parser().parse_args(argv)
+        assert str(getattr(args, option[2:])) == VALUES[option]
+    else:
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"error UsageError: unrecognized arguments: {option}" in err
 
 
 def test_prove_on_non_paradox_errors(tmp_path, capsys):

@@ -233,6 +233,15 @@ def test_closure_depth_is_a_knob(box3):
     assert detect_paradox(box3, depth=1).is_paradox
 
 
+def test_closure_rejects_negative_depth(box3):
+    # a negative depth ran zero rounds and reported "no paradox"
+    rounded = logical_assignment(abl_table(box3), box3)
+    with pytest.raises(ValueError, match="depth"):
+        closure_extend(rounded, depth=-1)
+    with pytest.raises(ValueError, match="depth"):
+        detect_paradox(box3, depth=-1)
+
+
 @given(seeds)
 def test_detect_is_unitary_invariant(seed):
     rotated = conjugate_scenario(three_box(), random_unitary(3, rng_for(seed)))

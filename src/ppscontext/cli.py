@@ -178,8 +178,8 @@ def cmd_abl(args) -> int:
 
 def cmd_detect(args) -> int:
     scenario = require_scenario(_load(args))
-    abl = _abl_part(scenario, abl_table(scenario))
     verdict = detect_paradox(scenario, depth=args.depth)
+    abl = _abl_part(scenario, verdict.table)
     _print_report(_scenario_part(scenario), abl, _verdict_part(verdict))
     return 0 if verdict.is_paradox else 2
 

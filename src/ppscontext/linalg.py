@@ -89,30 +89,51 @@ class Vector:
         return float(np.linalg.norm(self.components))
 
 
+def check_projectors(stack: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """Ranks (eigenvalues near 1) of a (k, d, d) stack of projectors and,
+    per matrix, None or the NotAProjector message of its first failed
+    check: hermitian, then idempotent within EPS_PROJ, then spectrum on
+    {0, 1}."""
+    herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) > EPS_PROJ
+    idem = np.abs(stack @ stack - stack).max(axis=(1, 2)) > EPS_PROJ
+    eigs = np.linalg.eigvalsh(stack)
+    near_one = np.abs(eigs - 1.0) <= EPS_PROJ
+    off_spectrum = ~(near_one | (np.abs(eigs) <= EPS_PROJ)).all(axis=1)
+    errors: list[str | None] = [None] * len(stack)
+    for k in np.flatnonzero(herm | idem | off_spectrum):
+        errors[k] = (
+            f"matrix is not hermitian within {EPS_PROJ:g}" if herm[k]
+            else f"matrix is not idempotent within {EPS_PROJ:g}" if idem[k]
+            else "spectrum is not contained in {0, 1}"
+        )
+    return near_one.sum(axis=1), errors
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
     """Validated orthogonal projector carrying its rank.
 
-    Construction checks that the matrix is hermitian and idempotent within
-    EPS_PROJ and that its spectrum sits on {0, 1}; the rank is the number
-    of eigenvalues near 1.
+    Construction runs ``check_projectors`` on the matrix: hermitian and
+    idempotent within EPS_PROJ, spectrum on {0, 1}.
     """
 
     op: Operator
     rank: int = field(init=False)
 
     def __post_init__(self) -> None:
-        m = self.op.matrix
-        if max_abs(m - m.conj().T) > EPS_PROJ:
-            raise NotAProjector(f"matrix is not hermitian within {EPS_PROJ:g}")
-        if max_abs(m @ m - m) > EPS_PROJ:
-            raise NotAProjector(f"matrix is not idempotent within {EPS_PROJ:g}")
-        eigs = np.linalg.eigvalsh(m)
-        near_one = np.abs(eigs - 1.0) <= EPS_PROJ
-        near_zero = np.abs(eigs) <= EPS_PROJ
-        if not bool(np.all(near_one | near_zero)):
-            raise NotAProjector("spectrum is not contained in {0, 1}")
-        object.__setattr__(self, "rank", int(np.count_nonzero(near_one)))
+        ranks, errors = check_projectors(self.op.matrix[None])
+        if errors[0] is not None:
+            raise NotAProjector(errors[0])
+        object.__setattr__(self, "rank", int(ranks[0]))
+
+    @classmethod
+    def _checked(cls, matrix: np.ndarray, rank: int) -> "Projector":
+        """Projector from a matrix ``check_projectors`` passed with this rank."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "op", object.__new__(Operator))
+        object.__setattr__(p.op, "matrix", _freeze(matrix))
+        object.__setattr__(p, "rank", int(rank))
+        return p
 
     @classmethod
     def from_matrix(cls, matrix) -> "Projector":
@@ -223,6 +244,7 @@ __all__ = [
     "Operator",
     "Vector",
     "Projector",
+    "check_projectors",
     "identity_projector",
     "zero_projector",
     "projector_from_vectors",

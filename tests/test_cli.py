@@ -221,3 +221,21 @@ def test_prove_on_non_paradox_errors(tmp_path, capsys):
     code, _, err = run(capsys, "prove", "--file", str(path))
     assert code == 1
     assert "error NotAParadox" in err
+
+
+def test_detect_computes_the_abl_table_once(monkeypatch, capsys):
+    from ppscontext import cli, paradox
+    from ppscontext.measurement import abl_table
+
+    calls = []
+
+    def counted(scenario):
+        calls.append(scenario)
+        return abl_table(scenario)
+
+    monkeypatch.setattr(cli, "abl_table", counted)
+    monkeypatch.setattr(paradox, "abl_table", counted)
+    code, out, _ = run(capsys, "detect", "--builtin", "three-box")
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / "three_box_detect.txt").read_bytes()
+    assert len(calls) == 1

@@ -1,0 +1,284 @@
+"""Parity of the semi-naive, batched closure with the pairwise closure.
+
+``pairwise_closure`` is the earlier ``closure_extend`` kept as a test
+oracle: every round takes the complement of every entry and then tests
+every pair of entries, with one lookup per derived projector.  The two
+must agree exactly: same result type, same entries in the same order
+(value, provenance, rank, matrix within EPS_PROJ) and the same violation.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ppscontext import linalg, paradox
+from ppscontext.errors import NotAProjector
+from ppscontext.generate import paradox_corpus, random_scenario, random_unitary, rng_for
+from ppscontext.linalg import Projector, commutes, projector_from_vectors, projectors_close
+from ppscontext.measurement import Pvm, Scenario, abl_table
+from ppscontext.paradox import (
+    PROV_ABL,
+    PROV_CLOSURE,
+    LogicalAssignment,
+    NotLogical,
+    Violation,
+    closure_extend,
+    logical_assignment,
+    recheck_violation,
+)
+from ppscontext.scenarios import three_box
+
+
+def pairwise_closure(assignment, depth=3):
+    work = assignment.copy()
+    identity = np.eye(work.dim)
+    for _ in range(depth):
+        added = False
+        for p, vp, _tag in work.entries():
+            comp = Projector.from_matrix(identity - p.matrix)
+            derived = 1 - vp
+            existing = work.value_of(comp)
+            if existing is None:
+                work.setdefault(comp, derived, PROV_CLOSURE)
+                added = True
+            elif existing != derived:
+                return Violation(
+                    conditions=("ac1",),
+                    projectors=(p, comp),
+                    values=(float(vp), float(existing)),
+                    derived=float(derived),
+                    description=(
+                        f"complement forced to {derived} but already holds {existing}"
+                    ),
+                )
+        snapshot = work.entries()
+        for i in range(len(snapshot)):
+            p, vp, _ = snapshot[i]
+            for j in range(i + 1, len(snapshot)):
+                q, vq, _ = snapshot[j]
+                if not commutes(p, q):
+                    continue
+                product = Projector.from_matrix(p.matrix @ q.matrix)
+                vpq = work.value_of(product)
+                if vpq is None:
+                    vpq = vp * vq
+                    work.setdefault(product, vpq, PROV_CLOSURE)
+                    added = True
+                join = Projector.from_matrix(p.matrix + q.matrix - product.matrix)
+                derived = vp + vq - vpq
+                if derived not in (0, 1):
+                    return Violation(
+                        conditions=("ac0", "ac4"),
+                        projectors=(p, q, product, join),
+                        values=(float(vp), float(vq), float(vpq)),
+                        derived=float(derived),
+                        description=(
+                            f"join value {vp} + {vq} - {vpq} = {derived} "
+                            "falls outside [0, 1]"
+                        ),
+                    )
+                existing = work.value_of(join)
+                if existing is None:
+                    work.setdefault(join, derived, PROV_CLOSURE)
+                    added = True
+                elif existing != derived:
+                    return Violation(
+                        conditions=("ac4",),
+                        projectors=(p, q, product, join),
+                        values=(float(vp), float(vq), float(vpq), float(existing)),
+                        derived=float(derived),
+                        description=(
+                            f"join forced to {derived} but already holds {existing}"
+                        ),
+                    )
+        if not added:
+            break
+    return work
+
+
+def close(p, q):
+    return p.rank == q.rank and projectors_close(p, q)
+
+
+def assert_parity(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Violation):
+        assert got.conditions == want.conditions
+        assert got.values == want.values
+        assert got.derived == want.derived
+        assert got.description == want.description
+        assert len(got.projectors) == len(want.projectors)
+        assert all(close(p, q) for p, q in zip(got.projectors, want.projectors))
+        assert recheck_violation(got)
+        return
+    got_entries, want_entries = got.entries(), want.entries()
+    assert len(got_entries) == len(want_entries)
+    for (p, v, tag), (q, w, want_tag) in zip(got_entries, want_entries):
+        assert (v, tag) == (w, want_tag)
+        assert close(p, q)
+
+
+def basis_projector(dim, indices):
+    return Projector.from_matrix(np.diag([1.0 if i in indices else 0.0 for i in range(dim)]))
+
+
+def pigeonhole(n):
+    """n qubits, pre |+>^n, post |+i>^n, one {same, differ} PVM per qubit pair."""
+    dim = 2**n
+    pre, post = np.ones(1), np.ones(1)
+    for _ in range(n):
+        pre = np.kron(pre, np.ones(2) / math.sqrt(2))
+        post = np.kron(post, np.array([1, 1j]) / math.sqrt(2))
+
+    def bit(x, q):
+        return (x >> (n - 1 - q)) & 1
+
+    pvms = []
+    for i, j in itertools.combinations(range(n), 2):
+        same = {x for x in range(dim) if bit(x, i) == bit(x, j)}
+        diff = set(range(dim)) - same
+        pvms.append(Pvm(f"Q{i}{j}", (basis_projector(dim, same), basis_projector(dim, diff))))
+    return Scenario(
+        dim,
+        projector_from_vectors([pre]),
+        projector_from_vectors([post]),
+        tuple(pvms),
+    )
+
+
+def diagonal_family(dim):
+    """dim/2 commuting diagonal PVMs that generate every diagonal projector.
+
+    PVM k puts basis vector k and every m + j, j != k, in its first half
+    (m = dim/2); pre = post = |0>, so the scenario is logical and the
+    closure extends the classical assignment "v(P) = 1 iff |0> lies in P".
+    """
+    m = dim // 2
+    pvms = []
+    for k in range(m):
+        first = {k} | {m + j for j in range(m) if j != k}
+        rest = set(range(dim)) - first
+        pvms.append(Pvm(f"H{k}", (basis_projector(dim, first), basis_projector(dim, rest))))
+    zero = basis_projector(dim, {0})
+    return Scenario(dim, zero, zero, tuple(pvms))
+
+
+def assignment_for(scenario):
+    """The rounded assignment of a logical scenario; otherwise value 1 on
+    the first element of every PVM and 0 on the others."""
+    rounded = logical_assignment(abl_table(scenario), scenario)
+    if not isinstance(rounded, NotLogical):
+        return rounded
+    assignment = LogicalAssignment(scenario.dim)
+    for pvm in scenario.measurements:
+        for k, element in enumerate(pvm.elements):
+            assignment.setdefault(element, int(k == 0), PROV_ABL)
+    return assignment
+
+
+CASES = (
+    [(f"corpus-{i}", s) for i, s in enumerate(paradox_corpus(2026, 24))]
+    + [("three-box", three_box()), ("pigeonhole-3", pigeonhole(3)), ("family-6", diagonal_family(6))]
+    + [
+        (f"random-{seed}", random_scenario(3 + seed % 3, rng_for(seed), n_pvms=2))
+        for seed in range(50)
+    ]
+)
+
+
+@pytest.mark.parametrize("name,scenario", CASES, ids=[name for name, _ in CASES])
+def test_closure_matches_pairwise_oracle(name, scenario):
+    assignment = assignment_for(scenario)
+    assert isinstance(assignment, LogicalAssignment)
+    for depth in range(4):
+        assert_parity(closure_extend(assignment, depth), pairwise_closure(assignment, depth))
+
+
+def test_oracle_cases_cover_every_outcome():
+    results = [closure_extend(assignment_for(s), 3) for _, s in CASES]
+    assert any(isinstance(r, LogicalAssignment) for r in results)
+    violated = {r.conditions for r in results if isinstance(r, Violation)}
+    assert {("ac0", "ac4"), ("ac4",)} <= violated
+
+
+@st.composite
+def logical_scenarios(draw):
+    """Commuting PVMs grouped from one random basis, pre = post = a basis ray."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    dim = draw(st.integers(min_value=3, max_value=5))
+    rng = rng_for(seed)
+    basis = random_unitary(dim, rng)
+    pvms = []
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        owners = rng.integers(0, 2, size=dim)
+        owners[:2] = (0, 1)
+        pvms.append(
+            Pvm(
+                f"M{i}",
+                tuple(
+                    projector_from_vectors([basis[:, a] for a in np.flatnonzero(owners == g)])
+                    for g in (0, 1)
+                ),
+            )
+        )
+    ray = projector_from_vectors([basis[:, int(rng.integers(dim))]])
+    return Scenario(dim, ray, ray, tuple(pvms))
+
+
+@given(logical_scenarios(), st.integers(min_value=0, max_value=3))
+def test_closure_parity_on_random_logical_scenarios(scenario, depth):
+    assignment = logical_assignment(abl_table(scenario), scenario)
+    assert isinstance(assignment, LogicalAssignment)
+    assert_parity(closure_extend(assignment, depth), pairwise_closure(assignment, depth))
+
+
+def test_each_pair_is_tested_once(monkeypatch):
+    tested = []
+
+    def recording(p, q):
+        tested.append(frozenset((p.matrix.tobytes(), q.matrix.tobytes())))
+        return commutes(p, q)
+
+    monkeypatch.setattr(paradox, "commutes", recording)
+    scenario = diagonal_family(6)
+    result = closure_extend(logical_assignment(abl_table(scenario), scenario), 3)
+    assert isinstance(result, LogicalAssignment)
+    assert len(set(tested)) == len(tested) == 1770
+
+
+@pytest.mark.parametrize("flagged", [(1, 1, 0, 0), (1, 0, 1, 0)])
+def test_invalid_derived_matrix_raises_only_when_reached(monkeypatch, flagged):
+    # Entry 0 (value 1) pairs first with entry 1 (value 1): its join
+    # diag(1, 1, 0, 0) gets the value 2, an ac0 violation.  Its next pair,
+    # with entry 2, gives the join diag(1, 0, 1, 0).  A matrix made to
+    # fail validation raises exactly when the pairwise loop builds it:
+    # the first join before the ac0 test, the second never.
+    assignment = LogicalAssignment(4)
+    for slot, value in ((0, 1), (1, 1), (2, 0)):
+        assignment.setdefault(basis_projector(4, {slot}), value, PROV_ABL)
+    validate = linalg.check_projectors
+
+    def check(stack):
+        ranks, errors = validate(stack)
+        for k, matrix in enumerate(stack):
+            if np.array_equal(matrix, np.diag(flagged)):
+                errors[k] = "flagged"
+        return ranks, errors
+
+    monkeypatch.setattr(linalg, "check_projectors", check)
+    monkeypatch.setattr(paradox, "check_projectors", check)
+    outcomes = []
+    for closure in (closure_extend, pairwise_closure):
+        try:
+            outcomes.append(closure(assignment, 1))
+        except NotAProjector as exc:
+            outcomes.append(str(exc))
+    if flagged == (1, 1, 0, 0):
+        assert outcomes == ["flagged", "flagged"]
+    else:
+        assert_parity(*outcomes)
+        assert outcomes[0].conditions == ("ac0", "ac4")

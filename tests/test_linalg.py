@@ -11,6 +11,7 @@ from ppscontext.linalg import (
     Operator,
     Projector,
     Vector,
+    check_projectors,
     commutes,
     identity_projector,
     is_orthogonal,
@@ -224,3 +225,27 @@ def test_dimension_mismatch_raised():
         commutes(p, q)
     with pytest.raises(DimensionMismatch):
         meet(p, q)
+
+
+def test_check_projectors_matches_single_validation():
+    rng = np.random.default_rng(5)
+    stack = np.stack(
+        [
+            random_projector(3, rng).matrix,
+            np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            np.diag([0.5, 1.0, 0.0]),
+            np.eye(3),
+            np.diag([1.0, 1.0, 1.0 + 1e-6]),
+            np.zeros((3, 3)),
+            random_projector(3, rng, rank=2).matrix,
+        ]
+    )
+    ranks, errors = check_projectors(stack)
+    assert [e is None for e in errors] == [True, False, False, True, False, True, True]
+    for matrix, rank, error in zip(stack, ranks, errors):
+        try:
+            expected = Projector.from_matrix(matrix)
+        except NotAProjector as exc:
+            assert error == str(exc)
+        else:
+            assert error is None and rank == expected.rank

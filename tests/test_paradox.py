@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ppscontext import paradox
 from ppscontext.errors import DimensionMismatch, ImpossiblePostselection
 from ppscontext.generate import conjugate_scenario, random_unitary, rng_for
 from ppscontext.linalg import (
     EPS_PROJ,
     Projector,
+    max_abs,
     projector_from_vectors,
     projectors_close,
 )
@@ -80,6 +82,64 @@ def test_projector_index_find_returns_first_match():
     assert index.projector(0) is p
 
 
+def first_close(index, matrix, lo, hi):
+    """The scalar first-match rule over slots [lo, hi)."""
+    for slot in range(lo, hi):
+        if max_abs(index.projector(slot).matrix - matrix) <= EPS_PROJ:
+            return slot
+    return -1
+
+
+def test_find_many_matches_the_scalar_first_match_rule():
+    # p and far are 1.6 EPS_PROJ apart; mid lies within EPS_PROJ of both
+    p, mid, far = (tilted_ray(t * EPS_PROJ) for t in (0.0, 0.8, 1.6))
+    index = ProjectorIndex()
+    stored = [basis_proj(3, 1), p, basis_proj(3, 2), far, p.complement()]
+    for q in stored:
+        index.append(q)
+    queries = np.stack([q.matrix for q in (mid, far, basis_proj(3, 2), p.complement())]
+                       + [tilted_ray(0.3).matrix, projector_from_vectors([[0, 1, 1]]).matrix])
+    for lo, hi in [(0, 5), (2, 5), (4, 5), (0, 1), (3, 3), (5, 2)]:
+        expected = [first_close(index, m, lo, hi) for m in queries]
+        assert list(index.find_many(queries, lo, hi)) == expected
+    assert list(index.find_many(queries, 0, 5)) == [1, 3, 2, 4, -1, -1]
+    assert list(index.find_many(queries, 2, 5)) == [3, 3, 2, 4, -1, -1]
+    assert index.find_many(queries[:0], 0, 5).shape == (0,)
+    with pytest.raises(DimensionMismatch):
+        index.find_many(np.zeros((1, 2, 2)), 0, 5)
+
+
+def test_find_many_separates_equal_diagonals(monkeypatch):
+    # every ray below has diagonal (1/2, 1/2, 0), so all share one key;
+    # one-row chunks exercise the chunked comparison
+    monkeypatch.setattr(paradox, "_CHUNK_ENTRIES", 1)
+    rays = [projector_from_vectors([v]) for v in ([1, 1, 0], [1, -1, 0], [1, 1j, 0], [1, -1j, 0])]
+    index = ProjectorIndex()
+    for ray in rays[:3]:
+        index.append(ray)
+    index.append(rays[0])
+    queries = np.stack([ray.matrix for ray in rays])
+    for lo, hi in [(0, 4), (1, 4), (3, 4)]:
+        expected = [first_close(index, m, lo, hi) for m in queries]
+        assert list(index.find_many(queries, lo, hi)) == expected
+    assert list(index.find_many(queries, 1, 4)) == [3, 1, 2, -1]
+
+
+def test_logical_assignment_looks_each_element_up_once(box3, monkeypatch):
+    calls = []
+    find = ProjectorIndex.find
+
+    def counted(self, p):
+        calls.append(p)
+        return find(self, p)
+
+    monkeypatch.setattr(ProjectorIndex, "find", counted)
+    table = abl_table(box3)
+    assignment = logical_assignment(table, box3)
+    assert isinstance(assignment, LogicalAssignment)
+    assert len(calls) == len(table.entries)
+
+
 def test_projector_index_rejects_mixed_dimensions():
     index = ProjectorIndex()
     index.add(basis_proj(3, 0))
@@ -133,8 +193,8 @@ def test_logical_assignment_single_context():
 def test_closure_derives_three_box_violation():
     # two certain boxes: v(P1 + P2 - P1 P2) = 1 + 1 - 0 = 2
     a = LogicalAssignment(3)
-    a.set(basis_proj(3, 0), 1, PROV_ABL)
-    a.set(basis_proj(3, 1), 1, PROV_ABL)
+    a.setdefault(basis_proj(3, 0), 1, PROV_ABL)
+    a.setdefault(basis_proj(3, 1), 1, PROV_ABL)
     result = closure_extend(a)
     assert isinstance(result, Violation)
     assert result.conditions == ("ac0", "ac4")
@@ -148,7 +208,7 @@ def test_closure_derives_three_box_violation():
 def test_closure_adds_complement():
     a = LogicalAssignment(3)
     p = projector_from_vectors([[1, 1, 0]])
-    a.set(p, 1, PROV_ABL)
+    a.setdefault(p, 1, PROV_ABL)
     extended = closure_extend(a)
     assert isinstance(extended, LogicalAssignment)
     assert extended.value_of(p.complement()) == 0
@@ -161,8 +221,8 @@ def test_closure_consistent_for_nested_projectors():
     a = LogicalAssignment(3)
     p = Projector.from_matrix(np.diag([1.0, 1.0, 0.0]))
     q = Projector.from_matrix(np.diag([1.0, 0.0, 0.0]))
-    a.set(p, 1, PROV_ABL)
-    a.set(q, 1, PROV_ABL)
+    a.setdefault(p, 1, PROV_ABL)
+    a.setdefault(q, 1, PROV_ABL)
     extended = closure_extend(a)
     assert isinstance(extended, LogicalAssignment)
     assert extended.value_of(Projector.from_matrix(p.matrix @ q.matrix)) == 1
@@ -172,8 +232,8 @@ def test_closure_is_monotone():
     a = LogicalAssignment(3)
     p = projector_from_vectors([[1, 0, 0]])
     q = projector_from_vectors([[0, 1, 1]])
-    a.set(p, 1, PROV_ABL)
-    a.set(q, 0, PROV_ABL)
+    a.setdefault(p, 1, PROV_ABL)
+    a.setdefault(q, 0, PROV_ABL)
     extended = closure_extend(a)
     assert isinstance(extended, LogicalAssignment)
     for proj, value, _ in a.entries():

@@ -9,7 +9,9 @@ pre-selection and Q orthogonal to the post-selection), and orthogonal
 node pairs exclude each other.  An exhaustive backtracking search over
 0/1 assignments then either exhibits a satisfying assignment (SAT) or
 proves that none exists (UNSAT), which rules out any value assignment
-that is noncontextual and outcome-deterministic.
+that is noncontextual and outcome-deterministic.  The same construction,
+for one certain outcome and with one element pinned, serves
+`verify_forced_value`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
 )
 from .linalg import EPS_ORTH, EPS_PROJ, Projector, is_orthogonal, max_abs, meet
 from .measurement import EPS_PROB, Pvm, Scenario, abl_probability
-from .paradox import EPS_LOGIC, ParadoxVerdict, ProjectorIndex
+from .paradox import ParadoxVerdict, ProjectorIndex, logical_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +168,29 @@ def assemble_system(
     )
 
 
+def _selection_system(scenario: Scenario, certain, pins=()) -> ConstraintSystem:
+    """The construction above for the outcomes ``certain``.
+
+    Nodes come in the order pre, post, the pinned projectors, then each
+    certain P followed by the nonzero parts of `split_complement`; labels
+    and the solver's branch order depend on it.  Both selections are
+    fixed to 1 and each ``(projector, value)`` pin to its value; repeated
+    fixed entries and resolutions are kept once.
+    """
+    index = ProjectorIndex()
+    fixed = [(index.add(scenario.pre), 1), (index.add(scenario.post), 1)]
+    fixed += [(index.add(p), value) for p, value in pins]
+    resolutions = []
+    for p in certain:
+        dec = split_complement(scenario, p)
+        p_i = index.add(p)
+        resolutions.append((p_i, *(index.add(x) for x in (dec.q, dec.r) if x.rank > 0)))
+    nodes = tuple(index.projector(i) for i in range(len(index)))
+    return assemble_system(
+        nodes, tuple(dict.fromkeys(fixed)), tuple(dict.fromkeys(resolutions))
+    )
+
+
 def build_constraint_system(
     scenario: Scenario, verdict: ParadoxVerdict
 ) -> ConstraintSystem:
@@ -181,28 +206,9 @@ def build_constraint_system(
         raise NonorthogonalityRequired(
             "pre- and post-selection projectors are orthogonal"
         )
-    index = ProjectorIndex()
-    pre_i = index.add(scenario.pre)
-    post_i = index.add(scenario.post)
-    fixed = tuple(dict.fromkeys([(pre_i, 1), (post_i, 1)]))
-
-    resolutions: list[tuple[int, ...]] = []
-    assignment = verdict.assignment
-    for pvm in scenario.measurements:
-        values = [assignment.value_of(e) for e in pvm.elements]
-        certain = [e for e, v in zip(pvm.elements, values) if v == 1]
-        if not certain:
-            continue
-        p = certain[0]
-        dec = split_complement(scenario, p)
-        p_i = index.add(p)
-        parts = tuple(index.add(x) for x in (dec.q, dec.r) if x.rank > 0)
-        resolution = (p_i, *parts)
-        if resolution not in resolutions:
-            resolutions.append(resolution)
-
-    nodes = tuple(index.projector(i) for i in range(len(index)))
-    return assemble_system(nodes, fixed, resolutions)
+    value_of = verdict.assignment.value_of
+    ones = ([e for e in pvm.elements if value_of(e) == 1] for pvm in scenario.measurements)
+    return _selection_system(scenario, [found[0] for found in ones if found])
 
 
 @dataclass(frozen=True)
@@ -235,7 +241,6 @@ class _Search:
     def __init__(self, system: ConstraintSystem) -> None:
         self.system = system
         n = len(system.nodes)
-        self.n = n
         self.excl_of: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for a, b in system.exclusions:
             self.excl_of[a].append((a, b))
@@ -248,8 +253,9 @@ class _Search:
         # degree with the label as tie-breaker.
         degree = [len(self.excl_of[i]) for i in range(n)]
         fixed_nodes = list(dict.fromkeys(node for node, _ in system.fixed))
+        fixed_set = set(fixed_nodes)
         rest = sorted(
-            (i for i in range(n) if i not in set(fixed_nodes)),
+            (i for i in range(n) if i not in fixed_set),
             key=lambda i: (-degree[i], system.labels[i], i),
         )
         self.order = fixed_nodes + rest
@@ -263,7 +269,12 @@ class _Search:
             return None
         return None if current == value else reason
 
-    def propagate(self, values, queue, log):
+    def propagate(self, forced, values, log):
+        queue: deque[int] = deque()
+        for node, value, reason in forced:
+            conflict = self.force(node, value, reason, values, queue, log)
+            if conflict is not None:
+                return conflict
         while queue:
             node = queue.popleft()
             value = values[node]
@@ -290,9 +301,7 @@ class _Search:
             return reason
         if len(ones) == 1:
             for m in unknown:
-                conflict = self.force(m, 0, reason, values, queue, log)
-                if conflict is not None:
-                    return conflict
+                self.force(m, 0, reason, values, queue, log)
             return None
         if not unknown:
             return reason
@@ -309,53 +318,31 @@ def solve(system: ConstraintSystem) -> Certificate:
     makes the returned trace deterministic.
     """
     search = _Search(system)
-    counter = {"branches": 1}
-    last: dict[str, object] = {}
+    branches = 0
 
-    values: list[int | None] = [None] * search.n
-    log: list[TraceStep] = []
-    queue: deque[int] = deque()
-    conflict = None
-    for node, value in system.fixed:
-        conflict = search.force(node, value, ("fixed", node), values, queue, log)
+    def branch(values, log, forced):
+        # One explored branch: propagate ``forced``, then try the first
+        # unknown node of the order at 1 and at 0.  Returns (witness, log,
+        # conflict); an UNSAT subtree returns its last failed branch.
+        nonlocal branches
+        branches += 1
+        values, log = list(values), list(log)
+        conflict = search.propagate(forced, values, log)
         if conflict is not None:
-            break
-    if conflict is None:
-        conflict = search.propagate(values, queue, log)
-    if conflict is not None:
-        return Certificate("UNSAT", None, tuple(log), conflict, counter["branches"])
-
-    witness: dict[str, tuple[int, ...]] = {}
-
-    def dfs(values, log) -> bool:
+            return None, log, conflict
         node = next((i for i in search.order if values[i] is None), None)
         if node is None:
-            witness["assignment"] = tuple(values)
-            return True
+            return tuple(values), [], None
         for value in (1, 0):
-            counter["branches"] += 1
-            child_values = list(values)
-            child_log = list(log)
-            child_queue: deque[int] = deque()
-            conflict = search.force(
-                node, value, ("decision", node), child_values, child_queue, child_log
-            )
-            if conflict is None:
-                conflict = search.propagate(child_values, child_queue, child_log)
-            if conflict is not None:
-                last["log"], last["conflict"] = child_log, conflict
-                continue
-            if dfs(child_values, child_log):
-                return True
-        return False
+            result = branch(values, log, [(node, value, ("decision", node))])
+            if result[0] is not None:
+                break
+        return result
 
-    if dfs(values, log):
-        return Certificate(
-            "SAT", witness["assignment"], (), None, counter["branches"]
-        )
-    return Certificate(
-        "UNSAT", None, tuple(last["log"]), last["conflict"], counter["branches"]
-    )
+    root = [(node, value, ("fixed", node)) for node, value in system.fixed]
+    witness, trace, conflict = branch([None] * len(system.nodes), [], root)
+    status = "UNSAT" if witness is None else "SAT"
+    return Certificate(status, witness, tuple(trace), conflict, branches)
 
 
 def check_assignment(system: ConstraintSystem, values) -> bool:
@@ -380,21 +367,16 @@ def verify_forced_value(scenario: Scenario, pvm: Pvm, k: int) -> bool:
     admissible noncontextual assignment.
 
     With ``certain`` the element itself when its probability is 1 and its
-    complement when it is 0, the single-PVM system has the nodes pre,
-    post, the element, ``certain`` and the parts of `split_complement`
-    of ``certain``, and the one resolution {certain, Q, R}.  Both
-    selections are fixed to 1 and the element to the opposite of its
-    extremal value; the value is forced iff `solve` finds that UNSAT.
-    For probability 0 the resolution forces ``certain`` to 1, and the
-    element, orthogonal to it, to 0.  Raises PreconditionViolated when
-    the conditional probability is not extremal.
+    complement when it is 0, the single-PVM system is the module's
+    construction for ``certain`` alone, with the element pinned to the
+    opposite of its extremal value; the value is forced iff `solve` finds
+    that UNSAT.  For probability 0 the resolution {certain, Q, R} forces
+    ``certain`` to 1, and the element, orthogonal to it, to 0.  Raises
+    PreconditionViolated when the conditional probability is not extremal.
     """
     value = abl_probability(scenario, pvm, k)
-    if abs(value - 1.0) <= EPS_LOGIC:
-        target = 1
-    elif abs(value) <= EPS_LOGIC:
-        target = 0
-    else:
+    target = logical_value(value)
+    if target is None:
         raise PreconditionViolated(f"conditional probability {value!r} not extremal")
     element = pvm.elements[k]
     if element.rank == 0:
@@ -403,16 +385,7 @@ def verify_forced_value(scenario: Scenario, pvm: Pvm, k: int) -> bool:
         return target == 1
 
     certain = element if target == 1 else element.complement()
-    dec = split_complement(scenario, certain)
-    index = ProjectorIndex()
-    pre_i = index.add(scenario.pre)
-    post_i = index.add(scenario.post)
-    element_i = index.add(element)
-    certain_i = index.add(certain)
-    parts = tuple(index.add(x) for x in (dec.q, dec.r) if x.rank > 0)
-    nodes = tuple(index.projector(i) for i in range(len(index)))
-    fixed = tuple(dict.fromkeys([(pre_i, 1), (post_i, 1), (element_i, 1 - target)]))
-    system = assemble_system(nodes, fixed, ((certain_i, *parts),))
+    system = _selection_system(scenario, (certain,), pins=((element, 1 - target),))
     return solve(system).status == "UNSAT"
 
 

@@ -120,18 +120,20 @@ class AblTable:
     postselection_weights: dict[str, float]
 
 
-def _abl_terms(scenario: Scenario, pvm: Pvm) -> np.ndarray:
+def _abl_row(scenario: Scenario, pvm: Pvm) -> tuple[float, np.ndarray] | None:
+    """The ABL denominator of ``pvm`` and its outcome probabilities, or
+    None when the denominator is zero relative to Tr(pre) Tr(post)."""
     pre = scenario.pre.matrix
     post = scenario.post.matrix
     terms = np.empty(len(pvm.elements))
     for k, e in enumerate(pvm.elements):
         pk = e.matrix
         terms[k] = max(float(np.trace(post @ pk @ pre @ pk).real), 0.0)
-    return terms
-
-
-def _denominator_threshold(scenario: Scenario) -> float:
-    return EPS_PROB * scenario.pre.rank * scenario.post.rank
+    den = float(terms.sum())
+    if den <= EPS_PROB * scenario.pre.rank * scenario.post.rank:
+        return None
+    # Terms are clamped nonnegative, so the ratios already sit in [0, 1].
+    return den, terms / den
 
 
 def abl_probability(scenario: Scenario, pvm: Pvm, k: int) -> float:
@@ -146,31 +148,28 @@ def abl_probability(scenario: Scenario, pvm: Pvm, k: int) -> float:
         raise DimensionMismatch("PVM dimension does not match scenario")
     if not 0 <= k < len(pvm.elements):
         raise IndexError(f"element index {k} out of range for PVM {pvm.name!r}")
-    terms = _abl_terms(scenario, pvm)
-    den = float(terms.sum())
-    if den <= _denominator_threshold(scenario):
+    row = _abl_row(scenario, pvm)
+    if row is None:
         raise ImpossiblePostselection(
             f"post-selection never succeeds after measuring {pvm.name!r}"
         )
-    # Terms are clamped nonnegative, so the ratio already sits in [0, 1].
-    return float(terms[k] / den)
+    return float(row[1][k])
 
 
 def abl_table(scenario: Scenario) -> AblTable:
     """Batch `abl_probability` over every PVM and outcome of the scenario."""
     entries: dict[tuple[str, int], float] = {}
     weights: dict[str, float] = {}
-    threshold = _denominator_threshold(scenario)
     tr_pre = float(np.trace(scenario.pre.matrix).real)
     for pvm in scenario.measurements:
-        terms = _abl_terms(scenario, pvm)
-        den = float(terms.sum())
-        if den <= threshold:
+        row = _abl_row(scenario, pvm)
+        if row is None:
             weights[pvm.name] = 0.0
             continue
+        den, probabilities = row
         weights[pvm.name] = den / tr_pre
-        for k in range(len(pvm.elements)):
-            entries[(pvm.name, k)] = float(terms[k] / den)
+        for k, p in enumerate(probabilities):
+            entries[(pvm.name, k)] = float(p)
     return AblTable(entries=entries, postselection_weights=weights)
 
 

@@ -30,6 +30,15 @@ from .measurement import AblTable, Scenario, abl_table
 #: EPS_PROB because values near certainty degrade with conditioning.
 EPS_LOGIC = 1e-7
 
+
+def logical_value(probability: float) -> int | None:
+    """The 0/1 value within EPS_LOGIC of ``probability`` (1 first), or None."""
+    for value in (1, 0):
+        if abs(probability - value) <= EPS_LOGIC:
+            return value
+    return None
+
+
 PROV_ABL = "abl-direct"
 PROV_CLOSURE = "closure-derived"
 
@@ -267,20 +276,17 @@ def logical_assignment(
     one projector receives 0 in one PVM and 1 in another, the conflict is
     returned as a Violation rather than stored.
     """
-    offending: list[tuple[str, int, float]] = []
-    for (name, k), value in table.entries.items():
-        if abs(value) > EPS_LOGIC and abs(value - 1.0) > EPS_LOGIC:
-            offending.append((name, k, value))
+    logical = {key: logical_value(p) for key, p in table.entries.items()}
+    offending = [(*key, table.entries[key]) for key, v in logical.items() if v is None]
     if offending:
         return NotLogical(tuple(sorted(offending)))
 
     assignment = LogicalAssignment(scenario.dim)
     for pvm in scenario.measurements:
         for k, element in enumerate(pvm.elements):
-            value = table.entries.get((pvm.name, k))
-            if value is None:
+            rounded = logical.get((pvm.name, k))
+            if rounded is None:
                 continue
-            rounded = 1 if abs(value - 1.0) <= EPS_LOGIC else 0
             existing = assignment.setdefault(element, rounded, PROV_ABL)
             if existing != rounded:
                 return Violation(
@@ -461,6 +467,7 @@ def detect_paradox(scenario: Scenario, depth: int = 3) -> ParadoxVerdict:
 
 __all__ = [
     "EPS_LOGIC",
+    "logical_value",
     "PROV_ABL",
     "PROV_CLOSURE",
     "ProjectorIndex",

@@ -1,7 +1,7 @@
 """Builtin inputs and the scenario file format.
 
 Scenario documents are JSON.  Complex numbers serialize as [re, im]
-pairs; a state spec is one of
+pairs of finite numbers; a state spec is one of
 
     {"vector": [[re, im], ...]}            rank-1 projector onto a vector
     {"span": [vector, vector, ...]}        projector onto a span
@@ -19,6 +19,7 @@ Vectors may be left unnormalized.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .measurement import Pvm, Scenario
 
 THREE_BOX = "three-box"
 CLIFTON_RAYS = "clifton-rays"
+_FLOAT_MAX = sys.float_info.max
 
 
 def three_box() -> Scenario:
@@ -84,12 +86,16 @@ BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def _complex_scalar(value, where: str) -> complex:
+    # type(), not isinstance: JSON true and false load as ints.  NaN,
+    # Infinity and integers beyond the float range fail the bound.
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
+        or not all(type(x) in (int, float) and abs(x) <= _FLOAT_MAX for x in value)
     ):
-        raise ParseError(f"{where}: expected a [re, im] pair, got {value!r}")
+        raise ParseError(
+            f"{where}: expected a [re, im] pair of finite numbers, got {value!r}"
+        )
     return complex(value[0], value[1])
 
 
@@ -143,7 +149,7 @@ def document_to_scenario(doc) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     dim = doc.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ParseError("dimension: expected a positive integer")
     for key in ("pre", "post", "measurements"):
         if key not in doc:

@@ -88,6 +88,21 @@ def test_detect_non_paradox_exits_two(tmp_path, capsys):
     assert "paradox=false" in out
 
 
+def test_non_finite_number_in_file_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"dimension": 2, "pre": {"vector": [[NaN, 0], [0, 0]]},'
+        ' "post": {"vector": [[1, 0], [1, 0]]},'
+        ' "measurements": [{"name": "Z", "outcomes":'
+        ' [{"vector": [[1, 0], [0, 0]]}, {"vector": [[0, 0], [1, 0]]}]}]}'
+    )
+    code, out, err = run(capsys, "abl", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error ParseError")
+    assert "Traceback" not in err
+
+
 def test_abl_three_box(capsys):
     code, out, _ = run(capsys, "abl", "--builtin", "three-box")
     assert code == 0

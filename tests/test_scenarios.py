@@ -174,3 +174,31 @@ def test_non_pvm_outcomes_rejected():
     }
     with pytest.raises(ParseError, match=r"measurements\[0\]"):
         document_to_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("dimension", True, "dimension"),
+        ("pre", {"vector": [[True, 0], [0, 0]]}, r"pre.vector\[0\]"),
+        ("pre", {"vector": [[float("nan"), 0], [0, 0]]}, r"pre.vector\[0\]"),
+        ("post", {"vector": [[1, 0], [0, float("inf")]]}, r"post.vector\[1\]"),
+        ("pre", {"projector": [[[1, 0], [0, 0]], [[0, 0], [float("-inf"), 0]]]},
+         r"pre.projector\[1\]\[1\]"),
+        ("post", {"vector": [[10**400, 0], [1, 0]]}, r"post.vector\[0\]"),
+    ],
+    ids=["dimension-true", "boolean-pair", "nan", "infinity", "projector-infinity",
+         "beyond-float-range"],
+)
+def test_parse_error_on_booleans_and_non_finite_numbers(field, value, where):
+    doc = {
+        "dimension": 2,
+        "pre": _vector([1, 0]),
+        "post": _vector([1, 1]),
+        "measurements": [{"name": "E", "outcomes": [_vector([1, 0]), _vector([0, 1])]}],
+    }
+    doc[field] = value
+    # The document as the file loader sees it: JSON text parsed back.
+    doc = json.loads(json.dumps(doc))
+    with pytest.raises(ParseError, match=where):
+        document_to_scenario(doc)

@@ -35,7 +35,6 @@ from .errors import (
 from .linalg import (
     Operator,
     Projector,
-    Vector,
     commutes,
     identity_projector,
     is_orthogonal,

@@ -209,7 +209,10 @@ def cmd_graph(args) -> int:
     system, _ = _system_for(args)
     text = export_orthogonality_graph(system)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ToolError(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {len(system.nodes)} nodes to {args.out}")
     else:
         print(text, end="")

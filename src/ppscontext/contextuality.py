@@ -61,9 +61,9 @@ def split_complement(scenario: Scenario, p: Projector) -> Decomposition:
         )
     r = meet(comp, scenario.pre.complement())
     q = Projector.from_matrix(comp.matrix - r.matrix)
-    if max_abs(scenario.pre.matrix @ r.matrix) > EPS_ORTH:
+    if not is_orthogonal(scenario.pre, r):
         raise PreconditionViolated("decomposition failed: pre r != 0")
-    if max_abs(scenario.post.matrix @ q.matrix) > EPS_ORTH:
+    if not is_orthogonal(scenario.post, q):
         raise PreconditionViolated("decomposition failed: post q != 0")
     return Decomposition(p=p, q=q, r=r)
 
@@ -91,13 +91,13 @@ class ConstraintSystem:
 def ray_label(p: Projector) -> str | None:
     """Canonical display form of a rank-1 projector's ray, or None.
 
-    The range vector is scaled so its first significant component equals
-    +1; components are printed to 6 significant digits.
+    The ray is read from the column of the largest diagonal entry (for
+    P = vv*, column a is v conj(v_a)) and scaled so its first significant
+    component equals +1; components are printed to 6 significant digits.
     """
     if p.rank != 1:
         return None
-    w, v = np.linalg.eigh(p.matrix)
-    vec = np.array(v[:, int(np.argmax(w))])
+    vec = p.matrix[:, int(np.argmax(p.matrix.diagonal().real))]
     peak = float(np.max(np.abs(vec)))
     lead = next(i for i, c in enumerate(vec) if abs(c) > 1e-6 * peak)
     vec = vec / vec[lead]

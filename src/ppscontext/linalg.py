@@ -60,34 +60,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-
-@dataclass(frozen=True, eq=False)
-class Vector:
-    """State vector with nonzero norm; normalization is not required."""
-
-    components: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.components, dtype=complex).reshape(-1)
-        if v.size < 1:
-            raise DimensionMismatch("vector must have at least one component")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vector components must be finite")
-        if np.linalg.norm(v) <= EPS_PROJ:
-            raise ZeroVector("vector norm is numerically zero")
-        object.__setattr__(self, "components", _freeze(v))
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
 
 def check_projectors(stack: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
     """Ranks (eigenvalues near 1) of a (k, d, d) stack of projectors and,
@@ -159,10 +131,6 @@ def zero_projector(dim: int) -> Projector:
     return Projector.from_matrix(np.zeros((dim, dim)))
 
 
-def _as_vector(v) -> Vector:
-    return v if isinstance(v, Vector) else Vector(v)
-
-
 def _require_same_dim(p: Projector, q: Projector) -> None:
     if p.dim != q.dim:
         raise DimensionMismatch(f"projector dims differ: {p.dim} vs {q.dim}")
@@ -171,24 +139,39 @@ def _require_same_dim(p: Projector, q: Projector) -> None:
 def projector_from_vectors(vs: Iterable) -> Projector:
     """Orthogonal projector onto the span of the given vectors.
 
-    Vectors may be unnormalized and linearly dependent; the span is
-    orthonormalized via SVD, so any two spanning sets of the same subspace
-    produce the same projector.
+    Vectors may be unnormalized and linearly dependent; each is flattened
+    to one dimension and the span is orthonormalized via SVD, so any two
+    spanning sets of the same subspace produce the same projector.
 
-    Raises ZeroVector for an input of numerically zero norm and
-    DimensionMismatch for inconsistent dimensions.
+    Each vector is checked in order, and the first failure raises:
+    DimensionMismatch if it has no components, ValueError if a component
+    is not finite, ZeroVector if its norm is at most EPS_PROJ.  Then an
+    empty input raises ValueError, and vectors of different lengths raise
+    DimensionMismatch.
     """
-    vectors = [_as_vector(v) for v in vs]
-    if not vectors:
+    columns = []
+    for v in vs:
+        v = np.asarray(v, dtype=complex).reshape(-1)
+        if v.size < 1:
+            raise DimensionMismatch("vector must have at least one component")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vector components must be finite")
+        if np.linalg.norm(v) <= EPS_PROJ:
+            raise ZeroVector("vector norm is numerically zero")
+        columns.append(v)
+    if not columns:
         raise ValueError("at least one spanning vector is required")
-    dim = vectors[0].dim
-    for v in vectors[1:]:
-        if v.dim != dim:
-            raise DimensionMismatch(f"vector dims differ: {dim} vs {v.dim}")
-    a = np.column_stack([v.components for v in vectors])
+    dim = columns[0].size
+    for v in columns[1:]:
+        if v.size != dim:
+            raise DimensionMismatch(f"vector dims differ: {dim} vs {v.size}")
+    return _span_projector(np.column_stack(columns))
+
+
+def _span_projector(a: np.ndarray) -> Projector:
+    """Projector onto the column space of ``a``, cut at EPS_RANK s_max."""
     u, s, _ = np.linalg.svd(a)
-    keep = s > EPS_RANK * s[0]
-    basis = u[:, : int(np.count_nonzero(keep))]
+    basis = u[:, : int(np.count_nonzero(s > EPS_RANK * s[0]))]
     return Projector.from_matrix(basis @ basis.conj().T)
 
 
@@ -224,16 +207,12 @@ def range_projector(a) -> Projector:
     Singular values below EPS_RANK relative to the largest one are treated
     as zero, so the zero operator maps to the zero projector.
     """
-    m = a.matrix if isinstance(a, Operator) else Operator(a).matrix
-    u, s, _ = np.linalg.svd(m)
-    keep = s > EPS_RANK * s[0] if s.size else np.zeros(0, dtype=bool)
-    basis = u[:, : int(np.count_nonzero(keep))]
-    return Projector.from_matrix(basis @ basis.conj().T)
+    return _span_projector(a.matrix if isinstance(a, Operator) else Operator(a).matrix)
 
 
-def projectors_close(p: Projector, q: Projector, tol: float = EPS_PROJ) -> bool:
-    """Entrywise comparison of two projectors within ``tol``."""
-    return p.dim == q.dim and max_abs(p.matrix - q.matrix) <= tol
+def projectors_close(p: Projector, q: Projector) -> bool:
+    """Entrywise comparison of two projectors within EPS_PROJ."""
+    return p.dim == q.dim and max_abs(p.matrix - q.matrix) <= EPS_PROJ
 
 
 __all__ = [
@@ -242,7 +221,6 @@ __all__ = [
     "EPS_MEET",
     "EPS_RANK",
     "Operator",
-    "Vector",
     "Projector",
     "check_projectors",
     "identity_projector",

@@ -216,8 +216,8 @@ def save_scenario(scenario: Scenario, path) -> None:
 def load_scenario_file(path) -> Scenario:
     """Parse and validate a scenario document from disk."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)

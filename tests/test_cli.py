@@ -103,6 +103,26 @@ def test_non_finite_number_in_file_is_parse_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_utf8_file_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"dimension": 2}'.encode("utf-16-le"))
+    code, out, err = run(capsys, "abl", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error ParseError: cannot read")
+    assert "Traceback" not in err
+
+
+def test_graph_out_into_missing_directory_is_tool_error(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.dot"
+    code, out, err = run(capsys, "graph", "--builtin", "three-box", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error ToolError: cannot write")
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_abl_three_box(capsys):
     code, out, _ = run(capsys, "abl", "--builtin", "three-box")
     assert code == 0

@@ -275,6 +275,17 @@ def test_assemble_system_retired_fourth_argument():
         assemble_system([p, p.complement()], (), ((0, 1),), [(p, (0,))])
 
 
+def test_assemble_system_rejects_duplicate_nodes():
+    def tilted(angle):
+        return projector_from_vectors([[np.cos(angle), np.sin(angle), 0.0]])
+
+    with pytest.raises(ValueError, match="node list contains duplicates"):
+        assemble_system([tilted(0.0), tilted(EPS_PROJ / 10)], (), ())
+    system = assemble_system([tilted(0.0), tilted(1e-6)], (), ())
+    assert len(system.nodes) == 2
+    assert system.labels == ("(1, 0, 0)", "(1, 1e-06, 0)")
+
+
 def test_assemble_system_rejects_mixed_dimensions():
     q3 = projector_from_vectors([[1, 0, 0]])
     q2 = projector_from_vectors([[0, 1]])

@@ -1,16 +1,19 @@
 """Projector and subspace operations."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ppscontext
 from ppscontext.errors import DimensionMismatch, NotAProjector, ZeroVector
 from ppscontext.linalg import (
     EPS_PROJ,
     Operator,
     Projector,
-    Vector,
     check_projectors,
     commutes,
     identity_projector,
@@ -33,9 +36,14 @@ def random_projector(dim, rng, rank=None):
     return projector_from_vectors([z[:, i] for i in range(rank)])
 
 
-def test_vector_rejects_zero_norm():
-    with pytest.raises(ZeroVector):
-        Vector([0, 0, 0])
+def test_every_exported_name_resolves():
+    modules = [
+        importlib.import_module(f"ppscontext.{info.name}")
+        for info in pkgutil.iter_modules(ppscontext.__path__)
+    ]
+    exported = [(m.__name__, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert len(exported) > 50
+    assert [(m, n) for m, n in exported if not hasattr(importlib.import_module(m), n)] == []
 
 
 def test_operator_rejects_nonsquare_and_nonfinite():
@@ -79,6 +87,15 @@ def test_projector_from_vectors_errors():
         projector_from_vectors([[1, 0], [1, 0, 0]])
     with pytest.raises(ValueError):
         projector_from_vectors([])
+    with pytest.raises(DimensionMismatch, match="at least one component"):
+        projector_from_vectors([[]])
+    with pytest.raises(ValueError, match="must be finite"):
+        projector_from_vectors([[np.nan, 0]])
+    # each vector is checked in full before the dimensions are compared
+    with pytest.raises(ValueError, match="must be finite"):
+        projector_from_vectors([[1, 0], [np.nan]])
+    with pytest.raises(ZeroVector):
+        projector_from_vectors([[1, 0], [0, 0, 0]])
 
 
 def test_is_orthogonal_basic():

@@ -1,5 +1,7 @@
 """Logical assignment, closure, and paradox detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -203,6 +205,45 @@ def test_closure_derives_three_box_violation():
     assert any(projectors_close(p, basis_proj(3, 0)) for p in cited)
     assert any(projectors_close(p, basis_proj(3, 1)) for p in cited)
     assert recheck_violation(result)
+
+
+def closure_violation(*entries):
+    """The violation closure finds on d = 3 diagonal projectors given as
+    (diagonal, value) pairs, checked to recheck as genuine."""
+    a = LogicalAssignment(3)
+    for diagonal, value in entries:
+        a.setdefault(Projector.from_matrix(np.diag(diagonal)), value, PROV_ABL)
+    violation = closure_extend(a)
+    assert isinstance(violation, Violation)
+    assert recheck_violation(violation)
+    return violation
+
+
+def test_recheck_violation_rejects_altered_violations(box3):
+    ac04 = detect_paradox(box3).violations[0]
+    # a stored complement that contradicts ac1
+    ac1 = closure_violation(([1.0, 0, 0], 1), ([0, 1.0, 1.0], 1))
+    # a stored join that contradicts ac4: 1 + 0 - 0 != 0
+    ac4 = closure_violation(([1.0, 0, 0], 1), ([0, 1.0, 0], 0), ([1.0, 1.0, 0], 0))
+    assert (ac04.conditions, ac1.conditions, ac4.conditions) == (
+        ("ac0", "ac4"), ("ac1",), ("ac4",)
+    )
+    p = ac1.projectors[0]
+    altered = [
+        *(dataclasses.replace(v, derived=v.derived + 1) for v in (ac04, ac1, ac4)),
+        *(dataclasses.replace(v, projectors=(*v.projectors[:2], *v.projectors[:1:-1]))
+          for v in (ac04, ac4)),
+        dataclasses.replace(ac1, projectors=(p, p)),
+        dataclasses.replace(ac1, values=(ac1.values[0], ac1.derived)),
+        dataclasses.replace(ac4, values=(*ac4.values[:3], ac4.derived)),
+        dataclasses.replace(ac4, conditions=("ac3",)),
+        dataclasses.replace(ac04, conditions=("ac4", "ac0")),
+        Violation(("assignment-conflict",), (p, p), (1.0, 1.0), 1.0, "no conflict"),
+    ]
+    assert [recheck_violation(v) for v in altered] == [False] * len(altered)
+    assert recheck_violation(
+        Violation(("assignment-conflict",), (p, p), (0.0, 1.0), 1.0, "conflict")
+    )
 
 
 def test_closure_adds_complement():

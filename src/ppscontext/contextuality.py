@@ -27,7 +27,7 @@ from .errors import (
     NotAParadox,
     PreconditionViolated,
 )
-from .linalg import EPS_ORTH, EPS_PROJ, Projector, is_orthogonal, max_abs, meet
+from .linalg import EPS_ORTH, EPS_PROJ, Projector, _orthogonal_to, is_orthogonal, max_abs, meet
 from .measurement import EPS_PROB, Pvm, Scenario, abl_probability
 from .paradox import ParadoxVerdict, ProjectorIndex, logical_value
 
@@ -136,35 +136,53 @@ def assemble_system(
     """Finish a system: exclusions from pairwise orthogonality and
     canonical labels.
 
+    Every node index in ``fixed`` and ``resolutions`` must lie in
+    [0, len(nodes)) and every fixed value must be 0 or 1; otherwise a
+    ValueError names the entry.  Nodes of different dimensions raise
+    DimensionMismatch; nodes equal within EPS_PROJ, or resolution members
+    that do not sum to the identity, raise ValueError.
+
     ``sums_raw`` is retired: sum constraints no longer exist, and the
     parameter remains only for callers that still pass an empty fourth
     positional argument.  A non-empty value raises ValueError.
     """
     if sums_raw:
         raise ValueError("sum constraints are not supported; use resolutions")
-    nodes = tuple(nodes)
+    nodes, fixed = tuple(nodes), tuple(fixed)
+    resolutions = tuple(tuple(r) for r in resolutions)
+    n = len(nodes)
+    for entry in fixed:
+        node, value = entry
+        if not 0 <= node < n or value not in (0, 1):
+            raise ValueError(
+                f"fixed entry {entry!r} needs a node in [0, {n}) and a value 0 or 1"
+            )
+    dim = nodes[0].dim if nodes else 0
+    if any(p.dim != dim for p in nodes):
+        raise DimensionMismatch("nodes have different dimensions")
     index = ProjectorIndex()
     for p in nodes:
-        index.add(p)
-    if len(index) != len(nodes):
+        index.append(p)
+    stack = index.matrices(range(n))
+    # Every node matches itself, so an earlier first match is a duplicate.
+    if np.any(index.find_many(stack, 0, n) != np.arange(n)):
         raise ValueError("node list contains duplicates")
-    dim = nodes[0].dim if nodes else 0
     for members in resolutions:
+        if not all(0 <= m < n for m in members):
+            raise ValueError(f"resolution {members!r} has a node outside [0, {n})")
         total = sum(nodes[m].matrix for m in members)
         if max_abs(total - np.eye(dim)) > EPS_PROJ:
             raise ValueError("resolution members do not sum to the identity")
-    exclusions = tuple(
-        (i, j)
-        for i in range(len(nodes))
-        for j in range(i + 1, len(nodes))
-        if is_orthogonal(nodes[i], nodes[j])
-    )
+    exclusions = []
+    for i in range(n):
+        later = np.flatnonzero(_orthogonal_to(stack[i], stack[i + 1 :]))
+        exclusions.extend((i, j) for j in (i + 1 + later).tolist())
     return ConstraintSystem(
         nodes=nodes,
         labels=_make_labels(nodes),
-        fixed=tuple(fixed),
-        exclusions=exclusions,
-        resolutions=tuple(tuple(r) for r in resolutions),
+        fixed=fixed,
+        exclusions=tuple(exclusions),
+        resolutions=resolutions,
     )
 
 
@@ -237,30 +255,32 @@ class Certificate:
     search_nodes: int
 
 
-class _Search:
-    def __init__(self, system: ConstraintSystem) -> None:
-        self.system = system
-        n = len(system.nodes)
-        self.excl_of: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for a, b in system.exclusions:
-            self.excl_of[a].append((a, b))
-            self.excl_of[b].append((a, b))
-        self.res_of: list[list[int]] = [[] for _ in range(n)]
-        for ri, members in enumerate(system.resolutions):
-            for m in members:
-                self.res_of[m].append(ri)
-        # Branching order: fixed nodes first, then descending exclusion
-        # degree with the label as tie-breaker.
-        degree = [len(self.excl_of[i]) for i in range(n)]
-        fixed_nodes = list(dict.fromkeys(node for node, _ in system.fixed))
-        fixed_set = set(fixed_nodes)
-        rest = sorted(
-            (i for i in range(n) if i not in fixed_set),
-            key=lambda i: (-degree[i], system.labels[i], i),
-        )
-        self.order = fixed_nodes + rest
+def solve(system: ConstraintSystem) -> Certificate:
+    """Complete backtracking search with unit propagation.
 
-    def force(self, node, value, reason, values, queue, log):
+    The search is exhaustive, so UNSAT is a proof that no admissible 0/1
+    assignment exists.  Branching follows a fixed variable order, which
+    makes the returned trace deterministic.
+    """
+    n = len(system.nodes)
+    excl_of: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b in system.exclusions:
+        excl_of[a].append((a, b))
+        excl_of[b].append((a, b))
+    res_of: list[list[int]] = [[] for _ in range(n)]
+    for ri, members in enumerate(system.resolutions):
+        for m in members:
+            res_of[m].append(ri)
+    # Branching order: fixed nodes first, then descending exclusion
+    # degree with the label as tie-breaker.
+    fixed_nodes = dict.fromkeys(node for node, _ in system.fixed)
+    order = list(fixed_nodes) + sorted(
+        (i for i in range(n) if i not in fixed_nodes),
+        key=lambda i: (-len(excl_of[i]), system.labels[i], i),
+    )
+    branches = 0
+
+    def force(node, value, reason, values, queue, log):
         current = values[node]
         if current is None:
             values[node] = value
@@ -269,31 +289,8 @@ class _Search:
             return None
         return None if current == value else reason
 
-    def propagate(self, forced, values, log):
-        queue: deque[int] = deque()
-        for node, value, reason in forced:
-            conflict = self.force(node, value, reason, values, queue, log)
-            if conflict is not None:
-                return conflict
-        while queue:
-            node = queue.popleft()
-            value = values[node]
-            if value == 1:
-                for a, b in self.excl_of[node]:
-                    other = b if node == a else a
-                    conflict = self.force(
-                        other, 0, ("exclusion", a, b), values, queue, log
-                    )
-                    if conflict is not None:
-                        return conflict
-            for ri in self.res_of[node]:
-                conflict = self._apply_resolution(ri, values, queue, log)
-                if conflict is not None:
-                    return conflict
-        return None
-
-    def _apply_resolution(self, ri, values, queue, log):
-        members = self.system.resolutions[ri]
+    def resolve(ri, values, queue, log):
+        members = system.resolutions[ri]
         reason = ("resolution", ri)
         ones = [m for m in members if values[m] == 1]
         unknown = [m for m in members if values[m] is None]
@@ -301,24 +298,33 @@ class _Search:
             return reason
         if len(ones) == 1:
             for m in unknown:
-                self.force(m, 0, reason, values, queue, log)
+                force(m, 0, reason, values, queue, log)
             return None
         if not unknown:
             return reason
         if len(unknown) == 1:
-            return self.force(unknown[0], 1, reason, values, queue, log)
+            return force(unknown[0], 1, reason, values, queue, log)
         return None
 
-
-def solve(system: ConstraintSystem) -> Certificate:
-    """Complete backtracking search with unit propagation.
-
-    The search is exhaustive, so UNSAT is a proof that no admissible 0/1
-    assignment exists.  Branching follows a fixed variable order, which
-    makes the returned trace deterministic.
-    """
-    search = _Search(system)
-    branches = 0
+    def propagate(forced, values, log):
+        queue: deque[int] = deque()
+        for node, value, reason in forced:
+            conflict = force(node, value, reason, values, queue, log)
+            if conflict is not None:
+                return conflict
+        while queue:
+            node = queue.popleft()
+            if values[node] == 1:
+                for a, b in excl_of[node]:
+                    other = b if node == a else a
+                    conflict = force(other, 0, ("exclusion", a, b), values, queue, log)
+                    if conflict is not None:
+                        return conflict
+            for ri in res_of[node]:
+                conflict = resolve(ri, values, queue, log)
+                if conflict is not None:
+                    return conflict
+        return None
 
     def branch(values, log, forced):
         # One explored branch: propagate ``forced``, then try the first
@@ -327,10 +333,10 @@ def solve(system: ConstraintSystem) -> Certificate:
         nonlocal branches
         branches += 1
         values, log = list(values), list(log)
-        conflict = search.propagate(forced, values, log)
+        conflict = propagate(forced, values, log)
         if conflict is not None:
             return None, log, conflict
-        node = next((i for i in search.order if values[i] is None), None)
+        node = next((i for i in order if values[i] is None), None)
         if node is None:
             return tuple(values), [], None
         for value in (1, 0):
@@ -340,7 +346,7 @@ def solve(system: ConstraintSystem) -> Certificate:
         return result
 
     root = [(node, value, ("fixed", node)) for node, value in system.fixed]
-    witness, trace, conflict = branch([None] * len(system.nodes), [], root)
+    witness, trace, conflict = branch([None] * n, [], root)
     status = "UNSAT" if witness is None else "SAT"
     return Certificate(status, witness, tuple(trace), conflict, branches)
 

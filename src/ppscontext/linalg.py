@@ -82,18 +82,18 @@ def check_projectors(stack: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
 
 
 @dataclass(frozen=True, eq=False)
-class Projector:
+class Projector(Operator):
     """Validated orthogonal projector carrying its rank.
 
     Construction runs ``check_projectors`` on the matrix: hermitian and
     idempotent within EPS_PROJ, spectrum on {0, 1}.
     """
 
-    op: Operator
     rank: int = field(init=False)
 
     def __post_init__(self) -> None:
-        ranks, errors = check_projectors(self.op.matrix[None])
+        super().__post_init__()
+        ranks, errors = check_projectors(self.matrix[None])
         if errors[0] is not None:
             raise NotAProjector(errors[0])
         object.__setattr__(self, "rank", int(ranks[0]))
@@ -102,22 +102,13 @@ class Projector:
     def _checked(cls, matrix: np.ndarray, rank: int) -> "Projector":
         """Projector from a matrix ``check_projectors`` passed with this rank."""
         p = object.__new__(cls)
-        object.__setattr__(p, "op", object.__new__(Operator))
-        object.__setattr__(p.op, "matrix", _freeze(matrix))
+        object.__setattr__(p, "matrix", _freeze(matrix))
         object.__setattr__(p, "rank", int(rank))
         return p
 
     @classmethod
     def from_matrix(cls, matrix) -> "Projector":
-        return cls(Operator(matrix))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
+        return cls(matrix)
 
     def complement(self) -> "Projector":
         return Projector.from_matrix(np.eye(self.dim) - self.matrix)
@@ -175,10 +166,15 @@ def _span_projector(a: np.ndarray) -> Projector:
     return Projector.from_matrix(basis @ basis.conj().T)
 
 
+def _orthogonal_to(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Per matrix q of a (k, d, d) stack: pq = 0 within EPS_ORTH."""
+    return np.abs(p @ stack).max(axis=(1, 2)) <= EPS_ORTH
+
+
 def is_orthogonal(p: Projector, q: Projector) -> bool:
     """True iff the ranges of p and q are orthogonal (pq = 0 within EPS_ORTH)."""
     _require_same_dim(p, q)
-    return max_abs(p.matrix @ q.matrix) <= EPS_ORTH
+    return bool(_orthogonal_to(p.matrix, q.matrix[None])[0])
 
 
 def commutes(p: Projector, q: Projector) -> bool:

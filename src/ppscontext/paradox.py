@@ -161,7 +161,14 @@ class LogicalAssignment:
         return len(self._values)
 
     def value_of(self, p: Projector) -> int | None:
-        """Stored or constant value of ``p``, or None if unknown."""
+        """Stored or constant value of ``p``, or None if unknown.
+
+        A projector of another dimension raises DimensionMismatch.
+        """
+        if p.dim != self._dim:
+            raise DimensionMismatch(
+                f"projector dim {p.dim} differs from assignment dim {self._dim}"
+            )
         if p.rank in (0, p.dim):
             return int(p.rank == p.dim)
         slot = self._index.find(p)

@@ -1,6 +1,7 @@
 """Decomposition, constraint systems, the exhaustive solver, and export."""
 
 import dataclasses
+import re
 from itertools import product
 
 import numpy as np
@@ -291,6 +292,31 @@ def test_assemble_system_rejects_mixed_dimensions():
     q2 = projector_from_vectors([[0, 1]])
     with pytest.raises(DimensionMismatch):
         assemble_system([q3, q3.complement(), q2], (), ((0, 1, 2),))
+
+
+@pytest.mark.parametrize(
+    "fixed, resolutions, entry",
+    [
+        (((5, 1),), (), "(5, 1)"),
+        (((0, 2),), (), "(0, 2)"),
+        (((-1, 1),), (), "(-1, 1)"),
+        ((), ((-2, -1),), "(-2, -1)"),
+    ],
+    ids=["node-past-end", "value-two", "negative-node", "negative-resolution"],
+)
+def test_assemble_system_rejects_bad_indices_and_values(fixed, resolutions, entry):
+    p = projector_from_vectors([[1, 0]])
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        assemble_system([p, p.complement()], fixed, resolutions)
+
+
+def test_assemble_system_accepts_in_range_entries():
+    p = projector_from_vectors([[1, 0]])
+    system = assemble_system([p, p.complement()], ((1, 0), (0, 1)), ((1, 0),))
+    assert system.fixed == ((1, 0), (0, 1))
+    assert system.resolutions == ((1, 0),)
+    assert system.exclusions == ((0, 1),)
+    assert solve(system).status == "SAT"
 
 
 def test_export_golden_three_box(box3):

@@ -60,6 +60,26 @@ def test_projector_rejects_nonidempotent():
         Projector.from_matrix(np.array([[1.0, 0.5], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("dim", [3, 8])
+def test_projector_is_one_frozen_operator(dim):
+    rng = np.random.default_rng(dim)
+    m = random_projector(dim, rng).matrix
+    made = Projector.from_matrix(m)
+    checked = Projector._checked(m, made.rank)
+    for p in (made, checked):
+        assert isinstance(p, Operator) and not hasattr(p, "op")
+        assert p.matrix.tobytes() == m.tobytes()
+        assert (p.rank, p.dim) == (made.rank, dim)
+        with pytest.raises(ValueError):
+            p.matrix[0, 0] = 0
+    assert projectors_close(range_projector(made), made)
+    # Operator checks still come first: shape, then finiteness.
+    with pytest.raises(DimensionMismatch):
+        Projector.from_matrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        Projector.from_matrix(np.array([[np.nan, 0], [0, 1]]))
+
+
 def test_projector_from_basis_vector():
     p = projector_from_vectors([[1, 0, 0]])
     assert p.rank == 1
@@ -213,7 +233,7 @@ def test_meet_equals_product_for_commuting_pairs(seed, dim):
 def test_range_projector_fixes_projectors(seed, dim):
     rng = np.random.default_rng(seed)
     p = random_projector(dim, rng)
-    assert projectors_close(range_projector(p.op), p)
+    assert projectors_close(range_projector(p), p)
 
 
 @given(seeds, dims)

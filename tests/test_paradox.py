@@ -13,6 +13,7 @@ from ppscontext.generate import conjugate_scenario, random_unitary, rng_for
 from ppscontext.linalg import (
     EPS_PROJ,
     Projector,
+    identity_projector,
     max_abs,
     projector_from_vectors,
     projectors_close,
@@ -348,3 +349,14 @@ def test_detect_is_unitary_invariant(seed):
     rotated = conjugate_scenario(three_box(), random_unitary(3, rng_for(seed)))
     verdict = detect_paradox(rotated)
     assert verdict.is_logical and verdict.is_paradox
+
+
+def test_logical_assignment_rejects_other_dimensions():
+    a = LogicalAssignment(3)
+    qubit = projector_from_vectors([[1, 0]])
+    with pytest.raises(DimensionMismatch):
+        a.setdefault(qubit, 1, PROV_ABL)
+    assert len(a) == 0
+    with pytest.raises(DimensionMismatch):
+        a.value_of(identity_projector(2))
+    assert a.value_of(identity_projector(3)) == 1

@@ -16,8 +16,8 @@ for one certain outcome and with one element pinned, serves
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -255,100 +255,117 @@ class Certificate:
     search_nodes: int
 
 
+@lru_cache(maxsize=8)
+def _search_plan(n, exclusions, resolutions, labels):
+    """Per-node tables of `solve` that do not depend on ``fixed``.
+
+    Returns the exclusion partners of each node as (other, reason) pairs
+    in exclusion order, the resolutions holding each node as (members,
+    reason) pairs in resolution order, and every node ranked by
+    descending exclusion degree, then label, then index.
+    """
+    partners = [[] for _ in range(n)]
+    for a, b in exclusions:
+        reason = ("exclusion", a, b)
+        partners[a].append((b, reason))
+        partners[b].append((a, reason))
+    holding = [[] for _ in range(n)]
+    for ri, members in enumerate(resolutions):
+        for m in members:
+            holding[m].append((members, ("resolution", ri)))
+    ranking = sorted(range(n), key=lambda i: (-len(partners[i]), labels[i], i))
+    return tuple(map(tuple, partners)), tuple(map(tuple, holding)), tuple(ranking)
+
+
 def solve(system: ConstraintSystem) -> Certificate:
     """Complete backtracking search with unit propagation.
 
     The search is exhaustive, so UNSAT is a proof that no admissible 0/1
-    assignment exists.  Branching follows a fixed variable order, which
-    makes the returned trace deterministic.
+    assignment exists.  Branching follows a fixed variable order (fixed
+    nodes first, then descending exclusion degree with the label as
+    tie-breaker), which makes the returned trace deterministic.
+
+    The per-node tables and the degree ranking come from a plan cached
+    on (node count, exclusions, resolutions, labels), the last 8 plans
+    kept; ``fixed`` and the projectors are not part of it, so solves of
+    one system with different pins share it.  The search keeps its
+    pending decisions on an explicit stack and undoes assignments from
+    the trail, so its depth is not bounded by Python's recursion limit.
     """
     n = len(system.nodes)
-    excl_of: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b in system.exclusions:
-        excl_of[a].append((a, b))
-        excl_of[b].append((a, b))
-    res_of: list[list[int]] = [[] for _ in range(n)]
-    for ri, members in enumerate(system.resolutions):
-        for m in members:
-            res_of[m].append(ri)
-    # Branching order: fixed nodes first, then descending exclusion
-    # degree with the label as tie-breaker.
-    fixed_nodes = dict.fromkeys(node for node, _ in system.fixed)
-    order = list(fixed_nodes) + sorted(
-        (i for i in range(n) if i not in fixed_nodes),
-        key=lambda i: (-len(excl_of[i]), system.labels[i], i),
+    partners, holding, ranking = _search_plan(
+        n, system.exclusions, system.resolutions, system.labels
     )
-    branches = 0
+    fixed_nodes = dict.fromkeys(node for node, _ in system.fixed)
+    order = list(fixed_nodes) + [i for i in ranking if i not in fixed_nodes]
+    values: list[int | None] = [None] * n
+    # The trail: one (node, value, reason) entry per assignment, in order.
+    log: list[tuple] = []
 
-    def force(node, value, reason, values, queue, log):
-        current = values[node]
-        if current is None:
-            values[node] = value
-            log.append(TraceStep(node, value, reason))
-            queue.append(node)
-            return None
-        return None if current == value else reason
-
-    def resolve(ri, values, queue, log):
-        members = system.resolutions[ri]
-        reason = ("resolution", ri)
-        ones = [m for m in members if values[m] == 1]
-        unknown = [m for m in members if values[m] is None]
-        if len(ones) > 1:
-            return reason
-        if len(ones) == 1:
-            for m in unknown:
-                force(m, 0, reason, values, queue, log)
-            return None
-        if not unknown:
-            return reason
-        if len(unknown) == 1:
-            return force(unknown[0], 1, reason, values, queue, log)
-        return None
-
-    def propagate(forced, values, log):
-        queue: deque[int] = deque()
+    def propagate(forced):
+        queue = []
         for node, value, reason in forced:
-            conflict = force(node, value, reason, values, queue, log)
-            if conflict is not None:
-                return conflict
-        while queue:
-            node = queue.popleft()
+            current = values[node]
+            if current is None:
+                values[node] = value
+                log.append((node, value, reason))
+                queue.append(node)
+            elif current != value:
+                return reason
+        for node in queue:  # the queue grows while it is read
             if values[node] == 1:
-                for a, b in excl_of[node]:
-                    other = b if node == a else a
-                    conflict = force(other, 0, ("exclusion", a, b), values, queue, log)
-                    if conflict is not None:
-                        return conflict
-            for ri in res_of[node]:
-                conflict = resolve(ri, values, queue, log)
-                if conflict is not None:
-                    return conflict
+                for other, reason in partners[node]:
+                    current = values[other]
+                    if current is None:
+                        values[other] = 0
+                        log.append((other, 0, reason))
+                        queue.append(other)
+                    elif current != 0:
+                        return reason
+            for members, reason in holding[node]:
+                seen = [values[m] for m in members]
+                ones = seen.count(1)
+                if ones > 1:
+                    return reason
+                if ones:
+                    for m in members:
+                        if values[m] is None:
+                            values[m] = 0
+                            log.append((m, 0, reason))
+                            queue.append(m)
+                elif None not in seen:
+                    return reason
+                elif seen.count(None) == 1:
+                    m = members[seen.index(None)]
+                    values[m] = 1
+                    log.append((m, 1, reason))
+                    queue.append(m)
         return None
 
-    def branch(values, log, forced):
-        # One explored branch: propagate ``forced``, then try the first
-        # unknown node of the order at 1 and at 0.  Returns (witness, log,
-        # conflict); an UNSAT subtree returns its last failed branch.
-        nonlocal branches
+    conflict = propagate([(node, value, ("fixed", node)) for node, value in system.fixed])
+    branches, pos = 1, 0
+    # Decisions whose 0 branch is still open: (node, trail length, position).
+    pending: list[tuple[int, int, int]] = []
+    while True:
+        if conflict is None:
+            while pos < len(order) and values[order[pos]] is not None:
+                pos += 1
+            if pos == len(order):
+                return Certificate("SAT", tuple(values), (), None, branches)
+            node, value = order[pos], 1
+            pending.append((node, len(log), pos))
+        elif pending:
+            node, mark, pos = pending.pop()
+            for undone, _, _ in log[mark:]:
+                values[undone] = None
+            del log[mark:]
+            value = 0
+        else:
+            # The last failed branch: its decisions, propagation and conflict.
+            trace = tuple(TraceStep(*step) for step in log)
+            return Certificate("UNSAT", None, trace, conflict, branches)
         branches += 1
-        values, log = list(values), list(log)
-        conflict = propagate(forced, values, log)
-        if conflict is not None:
-            return None, log, conflict
-        node = next((i for i in order if values[i] is None), None)
-        if node is None:
-            return tuple(values), [], None
-        for value in (1, 0):
-            result = branch(values, log, [(node, value, ("decision", node))])
-            if result[0] is not None:
-                break
-        return result
-
-    root = [(node, value, ("fixed", node)) for node, value in system.fixed]
-    witness, trace, conflict = branch([None] * n, [], root)
-    status = "UNSAT" if witness is None else "SAT"
-    return Certificate(status, witness, tuple(trace), conflict, branches)
+        conflict = propagate([(node, value, ("decision", node))])
 
 
 def check_assignment(system: ConstraintSystem, values) -> bool:

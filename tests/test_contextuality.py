@@ -9,6 +9,7 @@ import pytest
 
 from ppscontext.contextuality import (
     ConstraintSystem,
+    _search_plan,
     assemble_system,
     build_constraint_system,
     check_assignment,
@@ -28,6 +29,7 @@ from ppscontext.generate import paradox_corpus, rng_for
 from ppscontext.linalg import (
     EPS_ORTH,
     EPS_PROJ,
+    identity_projector,
     max_abs,
     projector_from_vectors,
     projectors_close,
@@ -222,6 +224,47 @@ def test_sat_witness_satisfies_every_constraint_independently():
         assert values[a] + values[b] <= 1
     for members in system.resolutions:
         assert sum(values[m] for m in members) == 1
+
+
+def test_solve_deep_search_has_no_recursion_limit():
+    # solve reads only the node count, so one shared node stands for all.
+    n = 1500
+    system = ConstraintSystem(
+        nodes=(identity_projector(1),) * n,
+        labels=tuple(f"[{i}]" for i in range(n)),
+        fixed=(),
+        exclusions=(),
+        resolutions=(),
+    )
+    cert = solve(system)
+    assert cert.status == "SAT"
+    assert cert.witness == (1,) * n
+    assert cert.search_nodes == n + 1
+    assert check_assignment(system, cert.witness)
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_search_plan_keys_on_constraints_and_holds_no_projector():
+    system = eight_ray_system()
+    n = len(system.nodes)
+    plan = _search_plan(n, system.exclusions, system.resolutions, system.labels)
+    fewer = system.exclusions[1:]
+    other = _search_plan(n, fewer, system.resolutions, system.labels)
+    assert other != plan
+    a, b = system.exclusions[0]
+    assert (b, ("exclusion", a, b)) in plan[0][a]
+    assert all(b != other_b for other_b, _ in other[0][a])
+    # Only node indices and reason tags: no projector or matrix is kept.
+    assert all(isinstance(x, (int, str)) for x in _leaves(plan))
+    assert solve(system).status == "UNSAT"
+    assert solve(dataclasses.replace(system, exclusions=fewer)).status == "SAT"
 
 
 def test_verify_forced_value_three_box(box3):

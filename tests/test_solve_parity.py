@@ -13,15 +13,18 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppscontext.contextuality import (
+    ConstraintSystem,
     TraceStep,
     assemble_system,
     build_constraint_system,
     solve,
 )
 from ppscontext.generate import paradox_corpus
-from ppscontext.linalg import projector_from_vectors
+from ppscontext.linalg import identity_projector, projector_from_vectors
 from ppscontext.paradox import detect_paradox
 from ppscontext.scenarios import eight_ray_system, three_box
 
@@ -225,3 +228,35 @@ def test_ray_sets_need_decisions():
     assert len(systems["yu-oh-13"].resolutions) == 4
     assert reference_solve(systems["cega-18"])[::4] == ("UNSAT", 41)
     assert reference_solve(systems["yu-oh-13"])[::4] == ("SAT", 5)
+
+
+@st.composite
+def small_systems(draw):
+    """Random systems of 2 to 9 nodes: exclusions in either orientation,
+    resolutions with members in random order, pins that may conflict,
+    and labels drawn from three letters so that ties reach the index."""
+    n = draw(st.integers(2, 9))
+    node = st.integers(0, n - 1)
+    pair = st.lists(node, min_size=2, max_size=2, unique=True).map(tuple)
+    members = st.lists(node, min_size=1, max_size=n, unique=True).map(tuple)
+    pin = st.tuples(node, st.integers(0, 1))
+    # solve reads only the node count, so one shared node stands for all.
+    system = ConstraintSystem(
+        nodes=(identity_projector(1),) * n,
+        labels=tuple(draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))),
+        fixed=tuple(draw(st.lists(pin, max_size=4))),
+        exclusions=tuple(draw(st.lists(pair, max_size=12))),
+        resolutions=tuple(draw(st.lists(members, max_size=5))),
+    )
+    return system, draw(pin)
+
+
+@settings(max_examples=300)
+@given(small_systems())
+def test_solve_matches_reference_on_random_systems(case):
+    system, pin = case
+    expected = reference_solve(system)
+    assert as_tuple(solve(system)) == expected
+    assert as_tuple(solve(system)) == expected
+    pinned = dataclasses.replace(system, fixed=system.fixed + (pin,))
+    assert as_tuple(solve(pinned)) == reference_solve(pinned)

@@ -27,7 +27,7 @@ from .errors import (
     NotAParadox,
     PreconditionViolated,
 )
-from .linalg import EPS_ORTH, EPS_PROJ, Projector, _orthogonal_to, is_orthogonal, max_abs, meet
+from .linalg import EPS_ORTH, Projector, _close, _orthogonal_to, is_orthogonal, max_abs, meet
 from .measurement import EPS_PROB, Pvm, Scenario, abl_probability
 from .paradox import ParadoxVerdict, ProjectorIndex, logical_value
 
@@ -127,6 +127,24 @@ def _make_labels(nodes: tuple[Projector, ...]) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _check_fixed(fixed, n: int) -> None:
+    """ValueError on a fixed entry whose node is outside [0, n) or whose
+    value is not 0 or 1."""
+    for entry in fixed:
+        node, value = entry
+        if not 0 <= node < n or value not in (0, 1):
+            raise ValueError(
+                f"fixed entry {entry!r} needs a node in [0, {n}) and a value 0 or 1"
+            )
+
+
+def _check_members(kind: str, groups, n: int) -> None:
+    """ValueError on an exclusion or resolution with a node outside [0, n)."""
+    for members in groups:
+        if not all(0 <= m < n for m in members):
+            raise ValueError(f"{kind} {members!r} has a node outside [0, {n})")
+
+
 def assemble_system(
     nodes,
     fixed,
@@ -151,12 +169,7 @@ def assemble_system(
     nodes, fixed = tuple(nodes), tuple(fixed)
     resolutions = tuple(tuple(r) for r in resolutions)
     n = len(nodes)
-    for entry in fixed:
-        node, value = entry
-        if not 0 <= node < n or value not in (0, 1):
-            raise ValueError(
-                f"fixed entry {entry!r} needs a node in [0, {n}) and a value 0 or 1"
-            )
+    _check_fixed(fixed, n)
     dim = nodes[0].dim if nodes else 0
     if any(p.dim != dim for p in nodes):
         raise DimensionMismatch("nodes have different dimensions")
@@ -167,11 +180,9 @@ def assemble_system(
     # Every node matches itself, so an earlier first match is a duplicate.
     if np.any(index.find_many(stack, 0, n) != np.arange(n)):
         raise ValueError("node list contains duplicates")
+    _check_members("resolution", resolutions, n)
     for members in resolutions:
-        if not all(0 <= m < n for m in members):
-            raise ValueError(f"resolution {members!r} has a node outside [0, {n})")
-        total = sum(nodes[m].matrix for m in members)
-        if max_abs(total - np.eye(dim)) > EPS_PROJ:
+        if not _close(stack[list(members)].sum(axis=0), np.eye(dim)):
             raise ValueError("resolution members do not sum to the identity")
     exclusions = []
     for i in range(n):
@@ -262,8 +273,11 @@ def _search_plan(n, exclusions, resolutions, labels):
     Returns the exclusion partners of each node as (other, reason) pairs
     in exclusion order, the resolutions holding each node as (members,
     reason) pairs in resolution order, and every node ranked by
-    descending exclusion degree, then label, then index.
+    descending exclusion degree, then label, then index.  A member
+    outside [0, n) raises ValueError.
     """
+    _check_members("exclusion", exclusions, n)
+    _check_members("resolution", resolutions, n)
     partners = [[] for _ in range(n)]
     for a, b in exclusions:
         reason = ("exclusion", a, b)
@@ -291,8 +305,13 @@ def solve(system: ConstraintSystem) -> Certificate:
     one system with different pins share it.  The search keeps its
     pending decisions on an explicit stack and undoes assignments from
     the trail, so its depth is not bounded by Python's recursion limit.
+
+    Entries `assemble_system` would reject, as in a system made by
+    ``dataclasses.replace``, raise its ValueError: fixed entries on every
+    call, exclusion and resolution members when the plan is built.
     """
     n = len(system.nodes)
+    _check_fixed(system.fixed, n)
     partners, holding, ranking = _search_plan(
         n, system.exclusions, system.resolutions, system.labels
     )
@@ -369,9 +388,14 @@ def solve(system: ConstraintSystem) -> Certificate:
 
 
 def check_assignment(system: ConstraintSystem, values) -> bool:
-    """True iff a full 0/1 assignment satisfies every constraint."""
+    """True iff a full 0/1 assignment satisfies every constraint; a system
+    entry that `assemble_system` would reject raises its ValueError."""
+    n = len(system.nodes)
+    _check_fixed(system.fixed, n)
+    _check_members("exclusion", system.exclusions, n)
+    _check_members("resolution", system.resolutions, n)
     values = tuple(values)
-    if len(values) != len(system.nodes) or any(v not in (0, 1) for v in values):
+    if len(values) != n or any(v not in (0, 1) for v in values):
         return False
     for node, value in system.fixed:
         if values[node] != value:
@@ -402,11 +426,6 @@ def verify_forced_value(scenario: Scenario, pvm: Pvm, k: int) -> bool:
     if target is None:
         raise PreconditionViolated(f"conditional probability {value!r} not extremal")
     element = pvm.elements[k]
-    if element.rank == 0:
-        return target == 0
-    if element.rank == element.dim:
-        return target == 1
-
     certain = element if target == 1 else element.complement()
     system = _selection_system(scenario, (certain,), pins=((element, 1 - target),))
     return solve(system).status == "UNSAT"

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAProjector, ZeroVector
 
-#: Tolerance for projector validation (hermiticity, idempotence, spectrum).
+#: Tolerance for projector validation and identity (`_close`); d x d products
+#: of unit vectors round by about d * 1e-16 an entry, far below it.
 EPS_PROJ = 1e-9
 #: Entrywise tolerance for orthogonality and commutation of projectors.
 EPS_ORTH = 1e-9
@@ -61,13 +62,18 @@ class Operator:
         return self.matrix.shape[0]
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per matrix of two broadcast stacks: max |a - b| <= EPS_PROJ."""
+    return np.abs(a - b).max(axis=(-2, -1)) <= EPS_PROJ
+
+
 def check_projectors(stack: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
     """Ranks (eigenvalues near 1) of a (k, d, d) stack of projectors and,
     per matrix, None or the NotAProjector message of its first failed
     check: hermitian, then idempotent within EPS_PROJ, then spectrum on
     {0, 1}."""
-    herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) > EPS_PROJ
-    idem = np.abs(stack @ stack - stack).max(axis=(1, 2)) > EPS_PROJ
+    herm = ~_close(stack, stack.conj().swapaxes(1, 2))
+    idem = ~_close(stack @ stack, stack)
     eigs = np.linalg.eigvalsh(stack)
     near_one = np.abs(eigs - 1.0) <= EPS_PROJ
     off_spectrum = ~(near_one | (np.abs(eigs) <= EPS_PROJ)).all(axis=1)
@@ -208,7 +214,7 @@ def range_projector(a) -> Projector:
 
 def projectors_close(p: Projector, q: Projector) -> bool:
     """Entrywise comparison of two projectors within EPS_PROJ."""
-    return p.dim == q.dim and max_abs(p.matrix - q.matrix) <= EPS_PROJ
+    return p.dim == q.dim and bool(_close(p.matrix, q.matrix))
 
 
 __all__ = [

@@ -23,7 +23,7 @@ from .errors import (
     NoAcceptedRuns,
     ZeroProbabilityOutcome,
 )
-from .linalg import EPS_PROJ, Operator, Projector, is_orthogonal, max_abs
+from .linalg import EPS_PROJ, Operator, Projector, _close, _orthogonal_to
 
 #: Tolerance for probability comparisons (normalization, zero denominators).
 EPS_PROB = 1e-9
@@ -50,14 +50,13 @@ class Pvm:
                 raise DimensionMismatch(
                     f"PVM {self.name!r} mixes dimensions {dim} and {e.dim}"
                 )
-        for i in range(len(elements)):
-            for j in range(i + 1, len(elements)):
-                if not is_orthogonal(elements[i], elements[j]):
-                    raise ValueError(
-                        f"PVM {self.name!r}: elements {i} and {j} are not orthogonal"
-                    )
-        total = sum(e.matrix for e in elements)
-        if max_abs(total - np.eye(dim)) > EPS_PROJ:
+        stack = np.stack([e.matrix for e in elements])
+        for i in range(len(elements) - 1):
+            later = np.flatnonzero(~_orthogonal_to(stack[i], stack[i + 1 :]))
+            if len(later):
+                j = i + 1 + int(later[0])
+                raise ValueError(f"PVM {self.name!r}: elements {i} and {j} are not orthogonal")
+        if not _close(stack.sum(axis=0), np.eye(dim)):
             raise ValueError(f"PVM {self.name!r}: elements do not sum to identity")
 
     @property
@@ -183,7 +182,7 @@ def luders_update(rho: Operator, p: Projector) -> Operator:
     m = rho.matrix
     if rho.dim != p.dim:
         raise DimensionMismatch("state and projector dimensions differ")
-    if max_abs(m - m.conj().T) > EPS_PROJ:
+    if not _close(m, m.conj().T):
         raise ValueError("state is not hermitian")
     if abs(np.trace(m).real - 1.0) > EPS_PROJ:
         raise ValueError("state does not have unit trace")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ImpossiblePostselection, NotAProjector
-from .linalg import EPS_PROJ, Projector, check_projectors, commutes, max_abs
+from .linalg import EPS_PROJ, Projector, _close, check_projectors, commutes
 from .measurement import AblTable, Scenario, abl_table
 
 #: Tolerance for rounding conditional probabilities to 0/1; looser than
@@ -77,7 +77,7 @@ class ProjectorIndex:
         """First slot in [lo, hi) within EPS_PROJ of ``matrix``, or None."""
         if hi <= lo:
             return None
-        close = np.abs(self._stack[lo:hi] - matrix).max(axis=(1, 2)) <= EPS_PROJ
+        close = _close(self._stack[lo:hi], matrix)
         slot = int(np.argmax(close))
         return lo + slot if close[slot] else None
 
@@ -104,7 +104,7 @@ class ProjectorIndex:
             step = max(1, _CHUNK_ENTRIES // dim**2)
             for i in range(0, len(rows), step):
                 r, c = rows[i : i + step], candidates[i : i + step]
-                close = np.abs(stored[c] - mats[r]).max(axis=(1, 2)) <= EPS_PROJ
+                close = _close(stored[c], mats[r])
                 np.minimum.at(found, r[close], c[close])
         return np.where(found < hi - lo, found + lo, -1)
 
@@ -225,18 +225,19 @@ class Violation:
 
 
 def recheck_violation(v: Violation) -> bool:
-    """Re-evaluate a violation from its cited operands alone."""
+    """Re-evaluate a violation from its cited operands alone: it shares `_close`
+    with the closure but not its ac1/ac4 formulas, whose output it checks."""
     if v.conditions == ("ac1",):
         p, comp = v.projectors
         vp, existing = v.values
-        matrices_ok = max_abs(np.eye(p.dim) - p.matrix - comp.matrix) <= EPS_PROJ
+        matrices_ok = bool(_close(np.eye(p.dim) - p.matrix, comp.matrix))
         return matrices_ok and v.derived == 1 - vp and v.derived != existing
     if v.conditions in (("ac0", "ac4"), ("ac4",)):
         p, q, pq, join = v.projectors
         operands_ok = (
             commutes(p, q)
-            and max_abs(p.matrix @ q.matrix - pq.matrix) <= EPS_PROJ
-            and max_abs(p.matrix + q.matrix - pq.matrix - join.matrix) <= EPS_PROJ
+            and bool(_close(p.matrix @ q.matrix, pq.matrix))
+            and bool(_close(p.matrix + q.matrix - pq.matrix, join.matrix))
         )
         if v.conditions == ("ac4",):
             vp, vq, vpq, existing = v.values

@@ -223,6 +223,8 @@ def load_scenario_file(path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:  # nesting deeper than the parser's stack
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
     return document_to_scenario(doc)
 
 

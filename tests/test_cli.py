@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from ppscontext.scenarios import save_scenario, three_box
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "three_box.dot"
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -58,6 +62,24 @@ def test_prove_report_matches_golden(capsys, argv, code, golden):
     assert got == code
     assert err == ""
     assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        pytest.param(argv, code, golden, id=f"{pathlib.Path(argv[2]).name}-{golden}")
+        for argv, code, golden in GOLDEN_REPORTS
+    ],
+)
+def test_golden_report_out_of_process(argv, code, golden, hash_seed):
+    # A fresh interpreter through `python -m`, under two string-hash seeds.
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR), "PYTHONHASHSEED": hash_seed}
+    done = subprocess.run(
+        [sys.executable, "-m", "ppscontext.cli", *argv], capture_output=True, env=env
+    )
+    assert done.returncode == code
+    assert done.stdout == (GOLDEN_DIR / golden).read_bytes()
 
 
 def test_detect_three_box_exits_zero(capsys):
@@ -110,6 +132,16 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error ParseError: cannot read")
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_file_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(capsys, "abl", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error ParseError: cannot parse {path}")
     assert "Traceback" not in err
 
 

@@ -33,6 +33,7 @@ from ppscontext.linalg import (
     max_abs,
     projector_from_vectors,
     projectors_close,
+    zero_projector,
 )
 from ppscontext.measurement import Pvm, Scenario, abl_probability
 from ppscontext.paradox import EPS_LOGIC, detect_paradox
@@ -294,6 +295,23 @@ def test_verify_forced_value_trivial_repeat():
     assert verify_forced_value(scenario, pvm, 1)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_verify_forced_value_on_trivial_elements(dim, zero_first):
+    # The solver refutes both: the zero element is orthogonal to the fixed
+    # pre-selection, and the resolution (I,) forbids I = 0.
+    eye = np.eye(dim)
+    pre = projector_from_vectors([eye[0]])
+    post = projector_from_vectors([eye.sum(axis=0)])
+    zero, one = zero_projector(dim), identity_projector(dim)
+    pvm = Pvm("T", (zero, one) if zero_first else (one, zero))
+    scenario = Scenario(dim, pre, post, (pvm,))
+    assert scenario.pre_post_overlap() > 0
+    for k in range(2):
+        assert abl_probability(scenario, pvm, k) == (pvm.elements[k].rank == dim)
+        assert verify_forced_value(scenario, pvm, k) is True
+
+
 def test_verify_forced_value_requires_extremal_probability(box3):
     uniform = Pvm(
         "B", tuple(projector_from_vectors([np.eye(3)[i]]) for i in range(3))
@@ -351,6 +369,42 @@ def test_assemble_system_rejects_bad_indices_and_values(fixed, resolutions, entr
     p = projector_from_vectors([[1, 0]])
     with pytest.raises(ValueError, match=re.escape(entry)):
         assemble_system([p, p.complement()], fixed, resolutions)
+
+
+def sat_eight_rays():
+    """The eight-ray system with only node 0 fixed: satisfiable."""
+    system = dataclasses.replace(eight_ray_system(), fixed=((0, 1),))
+    assert solve(system).status == "SAT"
+    return system
+
+
+@pytest.mark.parametrize(
+    "fixed, resolutions, entry",
+    [
+        (((3, 2),), (), "(3, 2)"),
+        (((-1, 1),), (), "(-1, 1)"),
+        (((-8, 1),), (), "(-8, 1)"),
+        (((99, 1),), (), "(99, 1)"),
+        ((), ((0, 99),), "(0, 99)"),
+    ],
+    ids=["value-two", "wraps-to-last", "wraps-to-first", "node-past-end", "resolution"],
+)
+def test_replaced_system_entries_are_checked(fixed, resolutions, entry):
+    base = sat_eight_rays()
+    system = dataclasses.replace(
+        base, fixed=base.fixed + fixed, resolutions=base.resolutions + resolutions
+    )
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        solve(system)
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        check_assignment(system, (0,) * len(system.nodes))
+
+
+def test_replaced_system_exclusion_members_are_checked():
+    base = sat_eight_rays()
+    system = dataclasses.replace(base, exclusions=base.exclusions + ((2, 8),))
+    with pytest.raises(ValueError, match=re.escape("exclusion (2, 8) has a node outside")):
+        solve(system)
 
 
 def test_assemble_system_accepts_in_range_entries():

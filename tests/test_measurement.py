@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppscontext import linalg, measurement
 from ppscontext.errors import (
     DimensionMismatch,
     ImpossiblePostselection,
@@ -44,6 +45,32 @@ def test_pvm_validation():
     p = projector_from_vectors([[1, 1]])
     with pytest.raises(ValueError):
         Pvm("bad", (p, basis_proj(2, 0)))  # not orthogonal
+
+
+def test_pvm_names_first_nonorthogonal_pair_in_row_order():
+    # Pairs (0, 3) and (1, 2) fail; (0, 3) comes first row by row.
+    e = np.eye(4)
+    spans = ([e[0]], [e[1]], [e[1] + e[2]], [e[0] + e[3]])
+    elements = tuple(projector_from_vectors(s) for s in spans)
+    with pytest.raises(ValueError, match=r"'P': elements 0 and 3 are not orthogonal"):
+        Pvm("P", elements)
+
+
+def test_pvm_makes_no_pairwise_orthogonality_calls(monkeypatch):
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return is_orthogonal(p, q)
+
+    is_orthogonal = linalg.is_orthogonal
+    for module in (linalg, measurement):
+        monkeypatch.setattr(module, "is_orthogonal", counted, raising=False)
+    assert len(basis_pvm("B", 4)) == 4
+    assert calls == []
+    # The counter does count.
+    linalg.is_orthogonal(basis_proj(4, 0), basis_proj(4, 1))
+    assert len(calls) == 1
 
 
 def test_scenario_validation():

@@ -25,11 +25,13 @@ from .errors import (
     DimensionMismatch,
     NonorthogonalityRequired,
     NotAParadox,
+    NotAProjector,
     PreconditionViolated,
 )
-from .linalg import EPS_ORTH, Projector, _close, _orthogonal_to, is_orthogonal, max_abs, meet
+from .linalg import EPS_ORTH, Projector, _close, _meets, _orthogonal_to, check_projectors
+from .linalg import is_orthogonal  # noqa: F401  (tests patch it here to count calls)
 from .measurement import EPS_PROB, Pvm, Scenario, abl_probability
-from .paradox import ParadoxVerdict, ProjectorIndex, logical_value
+from .paradox import _CHUNK_ENTRIES, ParadoxVerdict, ProjectorIndex, logical_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,22 +52,50 @@ def split_complement(scenario: Scenario, p: Projector) -> Decomposition:
     the complement of the pre-selection is r; the remainder q = (I-p) - r
     is then orthogonal to the post-selection.
     """
-    if p.dim != scenario.dim:
+    return _split_complements(scenario, (p,))[0]
+
+
+def _split_complements(scenario: Scenario, ps) -> list[Decomposition]:
+    """`split_complement` of each of ``ps``, computed as one stack.
+
+    The outcomes are checked in input order and the first failure raises
+    what `split_complement` raises for it alone, in its order: a wrong
+    dimension, then an uncertain outcome, then r or q failing
+    `check_projectors`, then pre r != 0, then post q != 0.
+    """
+    ps = tuple(ps)
+    dim = scenario.dim
+    same_dim = next((k for k, p in enumerate(ps) if p.dim != dim), len(ps))
+    pre, post = scenario.pre.matrix, scenario.post.matrix
+    comps = np.eye(dim) - np.array([p.matrix for p in ps[:same_dim]]).reshape(-1, dim, dim)
+    residuals = np.abs(post @ comps @ pre).max(axis=(1, 2))
+    rs, r_ranks, r_errors = _meets(comps, (np.eye(dim) - pre)[None])
+    qs = comps - rs
+    q_ranks, q_errors = check_projectors(qs)
+    pre_r = _orthogonal_to(pre, rs)
+    post_q = _orthogonal_to(post, qs)
+    for k in range(same_dim):
+        if residuals[k] > EPS_ORTH:
+            raise PreconditionViolated(
+                f"post (I-p) pre has max entry {residuals[k]:.3g}; "
+                "the outcome is not certain under the selections"
+            )
+        if r_errors[k] is not None or q_errors[k] is not None:
+            raise NotAProjector(r_errors[k] or q_errors[k])
+        if not pre_r[k]:
+            raise PreconditionViolated("decomposition failed: pre r != 0")
+        if not post_q[k]:
+            raise PreconditionViolated("decomposition failed: post q != 0")
+    if same_dim < len(ps):
         raise DimensionMismatch("projector dimension does not match scenario")
-    comp = p.complement()
-    residual = max_abs(scenario.post.matrix @ comp.matrix @ scenario.pre.matrix)
-    if residual > EPS_ORTH:
-        raise PreconditionViolated(
-            f"post (I-p) pre has max entry {residual:.3g}; "
-            "the outcome is not certain under the selections"
+    return [
+        Decomposition(
+            p=p,
+            q=Projector._checked(qs[k], q_ranks[k]),
+            r=Projector._checked(rs[k], r_ranks[k]),
         )
-    r = meet(comp, scenario.pre.complement())
-    q = Projector.from_matrix(comp.matrix - r.matrix)
-    if not is_orthogonal(scenario.pre, r):
-        raise PreconditionViolated("decomposition failed: pre r != 0")
-    if not is_orthogonal(scenario.post, q):
-        raise PreconditionViolated("decomposition failed: post q != 0")
-    return Decomposition(p=p, q=q, r=r)
+        for k, p in enumerate(ps)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +128,12 @@ def ray_label(p: Projector) -> str | None:
     if p.rank != 1:
         return None
     vec = p.matrix[:, int(np.argmax(p.matrix.diagonal().real))]
-    peak = float(np.max(np.abs(vec)))
-    lead = next(i for i, c in enumerate(vec) if abs(c) > 1e-6 * peak)
-    vec = vec / vec[lead]
+    mags = np.abs(vec)
+    lead = int(np.argmax(mags > 1e-6 * mags.max()))
     parts = []
-    for c in vec:
-        re = 0.0 if abs(c.real) < 1e-9 else float(c.real)
-        im = 0.0 if abs(c.imag) < 1e-9 else float(c.imag)
+    for c in (vec / vec[lead]).tolist():
+        re = 0.0 if abs(c.real) < 1e-9 else c.real
+        im = 0.0 if abs(c.imag) < 1e-9 else c.imag
         if im == 0.0:
             parts.append(f"{re:.6g}")
         else:
@@ -174,8 +203,7 @@ def assemble_system(
     if any(p.dim != dim for p in nodes):
         raise DimensionMismatch("nodes have different dimensions")
     index = ProjectorIndex()
-    for p in nodes:
-        index.append(p)
+    index.extend(nodes)
     stack = index.matrices(range(n))
     # Every node matches itself, so an earlier first match is a duplicate.
     if np.any(index.find_many(stack, 0, n) != np.arange(n)):
@@ -184,17 +212,39 @@ def assemble_system(
     for members in resolutions:
         if not _close(stack[list(members)].sum(axis=0), np.eye(dim)):
             raise ValueError("resolution members do not sum to the identity")
-    exclusions = []
-    for i in range(n):
-        later = np.flatnonzero(_orthogonal_to(stack[i], stack[i + 1 :]))
-        exclusions.extend((i, j) for j in (i + 1 + later).tolist())
     return ConstraintSystem(
         nodes=nodes,
         labels=_make_labels(nodes),
         fixed=fixed,
-        exclusions=tuple(exclusions),
+        exclusions=_exclusions(stack),
         resolutions=resolutions,
     )
+
+
+def _exclusions(stack: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Pairs i < j of an (n, d, d) projector stack, in (i, j) order, with
+    P_i P_j = 0 within EPS_ORTH: the `is_orthogonal` rule.
+
+    One Gram pass of traces picks the candidate pairs, those with
+    |tr(P_i P_j)| within 2 d EPS_ORTH.  For any d x d matrix M,
+    |tr(M)| <= d max|M|, so a pair that passes the entrywise test has a
+    trace within d EPS_ORTH plus rounding.  The other half of the window
+    covers that rounding: the product entries are sums of d terms over
+    rows of norm at most about 1, and the trace is a sum of d^2 terms over
+    matrices of Frobenius norm at most sqrt(d), so together they round by
+    at most about 4 d^3 2^-53, which is below d EPS_ORTH for any d up to
+    10^3.  So no orthogonal pair is dropped; the entrywise test decides
+    among the candidates, in chunks of at most _CHUNK_ENTRIES entries.
+    """
+    n, dim = stack.shape[:2]
+    gram = stack.reshape(n, dim * dim) @ stack.swapaxes(1, 2).reshape(n, dim * dim).T
+    rows, cols = np.nonzero(np.triu(np.abs(gram) <= 2 * dim * EPS_ORTH, 1))
+    orthogonal = np.zeros(len(rows), dtype=bool)
+    step = max(1, _CHUNK_ENTRIES // max(1, dim * dim))
+    for at in range(0, len(rows), step):
+        chunk = slice(at, at + step)
+        orthogonal[chunk] = _orthogonal_to(stack[rows[chunk]], stack[cols[chunk]])
+    return tuple(zip(rows[orthogonal].tolist(), cols[orthogonal].tolist()))
 
 
 def _selection_system(scenario: Scenario, certain, pins=()) -> ConstraintSystem:
@@ -206,18 +256,45 @@ def _selection_system(scenario: Scenario, certain, pins=()) -> ConstraintSystem:
     fixed to 1 and each ``(projector, value)`` pin to its value; repeated
     fixed entries and resolutions are kept once.
     """
-    index = ProjectorIndex()
-    fixed = [(index.add(scenario.pre), 1), (index.add(scenario.post), 1)]
-    fixed += [(index.add(p), value) for p, value in pins]
-    resolutions = []
-    for p in certain:
-        dec = split_complement(scenario, p)
-        p_i = index.add(p)
-        resolutions.append((p_i, *(index.add(x) for x in (dec.q, dec.r) if x.rank > 0)))
-    nodes = tuple(index.projector(i) for i in range(len(index)))
+    parts = [
+        (dec.p, *(x for x in (dec.q, dec.r) if x.rank > 0))
+        for dec in _split_complements(scenario, certain)
+    ]
+    candidates = [scenario.pre, scenario.post, *(p for p, _ in pins)]
+    candidates += [x for part in parts for x in part]
+    node_of, kept = _dedup(candidates)
+    at = iter(node_of)
+    fixed = [(next(at), 1), (next(at), 1)] + [(next(at), value) for _, value in pins]
+    resolutions = [tuple(next(at) for _ in part) for part in parts]
     return assemble_system(
-        nodes, tuple(dict.fromkeys(fixed)), tuple(dict.fromkeys(resolutions))
+        tuple(candidates[k] for k in kept),
+        tuple(dict.fromkeys(fixed)),
+        tuple(dict.fromkeys(resolutions)),
     )
+
+
+def _dedup(projectors) -> tuple[list[int], list[int]]:
+    """Node of each projector, and the projector behind each node, as if
+    each were added in turn to a `ProjectorIndex`: a projector maps to the
+    first node within EPS_PROJ of it, or becomes a new node.
+
+    One `find_many` gives each projector its first match among all of
+    them.  That match is the first node unless it is itself no node;
+    closeness is not transitive, so then the nodes are scanned.
+    """
+    index = ProjectorIndex()
+    slots = index.extend(projectors)
+    stack = index.matrices(slots)
+    node_of: list[int] = []
+    kept: list[int] = []
+    for k, match in enumerate(index.find_many(stack, 0, len(slots)).tolist()):
+        if match < k and kept[node_of[match]] != match:
+            hits = np.flatnonzero(_close(stack[kept], stack[k]))
+            match = kept[hits[0]] if len(hits) else k
+        node_of.append(len(kept) if match == k else node_of[match])
+        if match == k:
+            kept.append(k)
+    return node_of, kept
 
 
 def build_constraint_system(

@@ -117,7 +117,9 @@ class Projector(Operator):
         return cls(matrix)
 
     def complement(self) -> "Projector":
-        return Projector.from_matrix(np.eye(self.dim) - self.matrix)
+        """I - P, not validated again: it has the hermitian and idempotent
+        residuals of P and the spectrum 1 - lambda, so rank d - rank."""
+        return Projector._checked(np.eye(self.dim) - self.matrix, self.dim - self.rank)
 
 
 def identity_projector(dim: int) -> Projector:
@@ -173,8 +175,8 @@ def _span_projector(a: np.ndarray) -> Projector:
 
 
 def _orthogonal_to(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Per matrix q of a (k, d, d) stack: pq = 0 within EPS_ORTH."""
-    return np.abs(p @ stack).max(axis=(1, 2)) <= EPS_ORTH
+    """Per matrix pair of two broadcast stacks: pq = 0 within EPS_ORTH."""
+    return np.abs(p @ stack).max(axis=(-2, -1)) <= EPS_ORTH
 
 
 def is_orthogonal(p: Projector, q: Projector) -> bool:
@@ -198,9 +200,19 @@ def meet(p: Projector, q: Projector) -> Projector:
     eigenvector of the sum with eigenvalue 2.  The threshold is EPS_MEET.
     """
     _require_same_dim(p, q)
-    w, v = np.linalg.eigh(p.matrix + q.matrix)
-    cols = v[:, w >= 2.0 - EPS_MEET]
-    return Projector.from_matrix(cols @ cols.conj().T)
+    mats, ranks, errors = _meets(p.matrix[None], q.matrix[None])
+    if errors[0] is not None:
+        raise NotAProjector(errors[0])
+    return Projector._checked(mats[0], ranks[0])
+
+
+def _meets(ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """`meet` matrices of two broadcast (k, d, d) projector stacks, pair by
+    pair, with their `check_projectors` ranks and errors: one stacked eigh."""
+    w, v = np.linalg.eigh(ps + qs)
+    kept = v * (w >= 2.0 - EPS_MEET)[:, None, :]
+    mats = kept @ v.conj().swapaxes(1, 2)
+    return (mats, *check_projectors(mats))
 
 
 def range_projector(a) -> Projector:

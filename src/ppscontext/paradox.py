@@ -114,14 +114,28 @@ class ProjectorIndex:
 
     def append(self, p: Projector) -> int:
         """Store ``p`` in a new slot; the caller has found no match."""
-        slot = len(self._items)
-        if slot == len(self._stack):
-            # Capacity doubles, so appending stays amortised O(d^2);
-            # np.resize keeps the stored matrices as the leading rows.
-            self._stack = np.resize(self._stack, (max(8, 2 * slot), p.dim, p.dim))
-        self._stack[slot] = p.matrix
-        self._items.append(p)
-        return slot
+        return self.extend((p,))[0]
+
+    def extend(self, ps) -> range:
+        """Store each of ``ps`` in a new slot, in order, and return the
+        slots; the caller has found no matches.  A projector of another
+        dimension than the index's, or than the first of ``ps``, raises
+        DimensionMismatch and stores none of them."""
+        ps = tuple(ps)
+        start, stop = len(self._items), len(self._items) + len(ps)
+        if ps:
+            dim = (self._items or ps)[0].dim
+            if any(p.dim != dim for p in ps):
+                raise DimensionMismatch("projector dimension differs from the index's")
+            if stop > len(self._stack):
+                # Capacity at least doubles, so a store stays amortised O(d^2).
+                grown = np.empty((max(8, 2 * len(self._stack), stop), dim, dim), complex)
+                if start:
+                    grown[:start] = self._stack[:start]
+                self._stack = grown
+            self._stack[start:stop] = [p.matrix for p in ps]
+            self._items.extend(ps)
+        return range(start, stop)
 
     def matrices(self, slots) -> np.ndarray:
         return self._stack[list(slots)]

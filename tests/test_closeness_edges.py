@@ -1,7 +1,10 @@
-"""The EPS_PROJ entrywise rule at each caller the public API reaches.
+"""The EPS_PROJ and EPS_ORTH entrywise rules at each caller the public
+API reaches.
 
-Every pair below differs by 0.5 or 1.5 EPS_PROJ in its largest entry, so
-each test pins the side of the tolerance that every caller decides on.
+Every EPS_PROJ pair below differs by 0.5 or 1.5 EPS_PROJ in its largest
+entry, and every EPS_ORTH pair has a product whose largest entry is 0.5,
+0.99 or 1.01 EPS_ORTH, so each test pins the side of the tolerance that
+every caller decides on.
 """
 
 import numpy as np
@@ -10,11 +13,14 @@ import pytest
 from ppscontext.contextuality import assemble_system
 from ppscontext.errors import NotAProjector
 from ppscontext.linalg import (
+    EPS_ORTH,
     EPS_PROJ,
     Operator,
     Projector,
     check_projectors,
     identity_projector,
+    is_orthogonal,
+    max_abs,
     projector_from_vectors,
     projectors_close,
 )
@@ -139,3 +145,39 @@ def test_recheck_ac4_product_and_join(cited, scale, ok):
         join = tilted(4, [0, 1, 2], 2, 3, scale)
     v = Violation(("ac4",), (p, q, pq, join), (1, 1, 1, 0), 1, "")
     assert recheck_violation(v) is ok
+
+
+def skewed_first_ray(dim):
+    """e_0 e_0* plus 0.99 EPS_PROJ in the lower-left corner: idempotent,
+    hermitian only within EPS_PROJ, and orthogonal to e_{d-1} e_{d-1}* in
+    one order of the product only within EPS_ORTH."""
+    m = np.zeros((dim, dim), dtype=complex)
+    m[0, 0] = 1.0
+    m[dim - 1, 0] = 0.99 * EPS_PROJ
+    return Projector(m)
+
+
+@pytest.mark.parametrize("dim", [3, 8, 32])
+@pytest.mark.parametrize("scale, orthogonal", [(0.5, True), (0.99, True), (1.01, False)])
+@pytest.mark.parametrize("skewed", [False, True], ids=["hermitian", "skewed"])
+def test_assemble_system_exclusions_at_the_orthogonality_threshold(
+    dim, scale, orthogonal, skewed
+):
+    eye = np.eye(dim)
+    first = skewed_first_ray(dim) if skewed else basis(dim, [0])
+    # The ray along s e_0 + e_1 meets e_0 in an entry s / (1 + s^2) ~ s.
+    tilted_ray = projector_from_vectors([scale * EPS_ORTH * eye[0] + eye[1]])
+    for p, q in [(first, tilted_ray), (tilted_ray, first)]:
+        assert (max_abs(p.matrix @ q.matrix) / EPS_ORTH) == pytest.approx(scale, rel=1e-3)
+        assert is_orthogonal(p, q) is orthogonal
+    rest = [basis(dim, [k]) for k in range(2, dim)] + [basis(dim, [1, dim - 1])]
+    for nodes in ([tilted_ray, first, *rest], [*rest[::-1], first, tilted_ray]):
+        expected = tuple(
+            (i, j)
+            for i in range(len(nodes))
+            for j in range(i + 1, len(nodes))
+            if is_orthogonal(nodes[i], nodes[j])
+        )
+        assert assemble_system(nodes, (), ()).exclusions == expected
+        pair = tuple(sorted((nodes.index(first), nodes.index(tilted_ray))))
+        assert (pair in expected) is orthogonal

@@ -153,6 +153,42 @@ def test_projector_index_rejects_mixed_dimensions():
     assert len(index) == 1
 
 
+def assert_index_holds(index, stored):
+    assert len(index) == len(stored)
+    assert index.matrices(range(len(stored))).shape == (len(stored), 3, 3)
+    for slot, p in enumerate(stored):
+        assert index.projector(slot) is p
+        assert np.array_equal(index.matrices([slot])[0], p.matrix)
+        assert index.find(p) == slot
+
+
+@pytest.mark.parametrize("count", [3, 8])
+def test_projector_index_append_of_another_dimension_leaves_it_unchanged(count):
+    # 8 slots fill the first allocation, so the next store must grow it.
+    stored = [projector_from_vectors([[1, k, k * k]]) for k in range(count)]
+    index = ProjectorIndex()
+    for p in stored:
+        index.append(p)
+    with pytest.raises(DimensionMismatch):
+        index.append(basis_proj(2, 0))
+    with pytest.raises(DimensionMismatch):
+        index.extend([basis_proj(3, 0), basis_proj(2, 0)])
+    assert_index_holds(index, stored)
+    assert index.extend([]) == range(count, count)
+    extra = [projector_from_vectors([[k, 1, 0]]) for k in range(count)]
+    assert index.extend(extra) == range(count, 2 * count)
+    assert_index_holds(index, stored + extra)
+
+
+def test_projector_index_extend_into_an_empty_index_checks_its_own_dims():
+    index = ProjectorIndex()
+    with pytest.raises(DimensionMismatch):
+        index.extend([basis_proj(2, 0), basis_proj(3, 0)])
+    assert len(index) == 0
+    assert index.extend([basis_proj(2, 1)]) == range(1)
+    assert index.find(basis_proj(2, 1)) == 0
+
+
 def test_assignment_constants():
     a = LogicalAssignment(3)
     from ppscontext.linalg import identity_projector, zero_projector

@@ -8,7 +8,9 @@
     ppscontext graph    (--builtin NAME | --file PATH) [--depth D] [--out PATH]
 
 ``--depth`` (default 3) bounds the closure rounds, so "no paradox" holds
-only up to that depth.  A subcommand rejects every option it does not
+only up to that depth.  ``simulate`` draws the count of runs passing each
+stage, not each run, so its cost does not depend on ``--samples`` (1 to
+MAX_SAMPLES = 2**63 - 1).  A subcommand rejects every option it does not
 read, and out-of-range counts, as usage errors.
 
 Exit codes: ``prove`` returns 0 when the search is UNSAT (noncontextual
@@ -31,7 +33,14 @@ from .contextuality import (
     solve,
 )
 from .errors import ToolError
-from .measurement import AblTable, Pvm, Scenario, abl_table, simulate_frequencies
+from .measurement import (
+    MAX_SAMPLES,
+    AblTable,
+    Pvm,
+    Scenario,
+    abl_table,
+    simulate_frequencies,
+)
 from .paradox import ParadoxVerdict, detect_paradox
 from .scenarios import load_builtin, load_scenario_file, require_scenario
 
@@ -219,13 +228,16 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _count(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _count(minimum: int, maximum: int | None = None):
+    """argparse type: an integer no smaller than ``minimum`` and, when
+    given, no larger than ``maximum``."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return count
@@ -233,7 +245,7 @@ def _count(minimum: int):
 
 OPTIONS = {
     "--pvm": dict(help="measurement name"),
-    "--samples": dict(type=_count(1), default=100000),
+    "--samples": dict(type=_count(1, MAX_SAMPLES), default=100000),
     "--seed": dict(type=_count(0), default=0),
     "--depth": dict(type=_count(0), default=3, help="closure rounds"),
     "--out": dict(help="output path"),

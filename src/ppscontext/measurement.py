@@ -7,12 +7,15 @@ successful pre-selection on ``pre`` and post-selection on ``post``, is
 
 which for rank-1 selections reduces to |<psi|P_k|phi>|^2 normalized over
 the outcomes.  ``simulate_frequencies`` provides an independent
-Monte-Carlo estimate of the same quantity by explicitly running the
-three-measurement sequence with Lueders updates.
+Monte-Carlo estimate of the same quantity from the three-measurement
+sequence with Lueders updates.  It draws the count of runs that pass each
+stage, not each run, so its time and memory do not depend on the number
+of samples, which may go up to MAX_SAMPLES.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,10 @@ from .linalg import EPS_PROJ, Operator, Projector, _close, _orthogonal_to
 #: Tolerance for probability comparisons (normalization, zero denominators).
 EPS_PROB = 1e-9
 
+#: Largest sample count ``simulate_frequencies`` accepts: the largest
+#: trial count numpy's binomial draw takes (a signed 64-bit integer).
+MAX_SAMPLES = 2**63 - 1
+
 
 @dataclass(frozen=True, eq=False)
 class Pvm:
@@ -42,6 +49,9 @@ class Pvm:
         object.__setattr__(self, "elements", elements)
         if not self.name:
             raise ValueError("a PVM needs a nonempty name")
+        # Reports print the name inside "key=value" lines, one per line.
+        if not self.name.isprintable() or "=" in self.name:
+            raise ValueError(f"PVM name {self.name!r} must be printable and contain no '='")
         if len(elements) < 2:
             raise ValueError(f"PVM {self.name!r} needs at least 2 elements")
         dim = elements[0].dim
@@ -195,6 +205,23 @@ def luders_update(rho: Operator, p: Projector) -> Operator:
     return Operator(updated)
 
 
+def _outcome_weights(born: np.ndarray) -> np.ndarray:
+    """Outcome distribution of the inverse-CDF draw over ``born``.
+
+    A run with uniform u in [0, 1) gets the first outcome k whose
+    cumulative weight exceeds u, or the last outcome when none does.
+    With c = min(cumsum(born), 1), outcome k < n-1 therefore takes
+    exactly the u in [c[k-1], c[k]) (c[-1] = 0; clipping at 1 moves no u
+    because u < 1), and the last outcome takes [c[n-2], 1), which also
+    absorbs any deficit of a total below 1.  So w[k] = c[k] - c[k-1] for
+    k < n-1 and w[n-1] = 1 - c[n-2]: nonnegative, summing to 1.
+    """
+    c = np.minimum(np.cumsum(born), 1.0)
+    w = np.diff(c, prepend=0.0)
+    w[-1] = 1.0 - c[-2]
+    return w
+
+
 def simulate_frequencies(
     scenario: Scenario, pvm: Pvm, samples: int, seed: int
 ) -> dict[int, tuple[float, int]]:
@@ -209,12 +236,20 @@ def simulate_frequencies(
     An outcome of Born weight at most EPS_PROB, on which ``luders_update``
     refuses to condition, never passes post-selection.
 
-    Sampling uses the counter-based Philox generator, so results are
-    deterministic for a fixed seed.  Raises NoAcceptedRuns when every
-    sample is discarded.
+    The runs are independent and only their counts are returned, so the
+    counts are drawn per stage with the law the runs give them: the
+    survivors of pre-selection as a binomial, their outcomes as one
+    multinomial, and the accepted runs of each outcome as a binomial.
+    Time and memory are O(outcomes) whatever ``samples`` is, from 1 to
+    MAX_SAMPLES.  Sampling uses the counter-based Philox generator, so
+    results are deterministic for a fixed seed.  Raises NoAcceptedRuns
+    when every sample is discarded.
     """
+    samples = operator.index(samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}")
     if pvm.dim != scenario.dim:
         raise DimensionMismatch("PVM dimension does not match scenario")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -224,8 +259,8 @@ def simulate_frequencies(
 
     # State after a successful pre-selection is pre / Tr(pre), regardless
     # of the I/d starting point; only the acceptance probability depends
-    # on it.
-    p_accept_pre = float(np.trace(pre).real) / d
+    # on it.  A full-rank pre can have a trace a few ulps above d.
+    p_accept_pre = min(float(np.trace(pre).real) / d, 1.0)
     rho_pre = Operator(pre / np.trace(pre).real)
 
     n_outcomes = len(pvm.elements)
@@ -236,18 +271,12 @@ def simulate_frequencies(
         if born[k] > EPS_PROB:
             rho_k = luders_update(rho_pre, e).matrix
             accept_post[k] = min(max(float(np.trace(post @ rho_k).real), 0.0), 1.0)
-    cumulative = np.cumsum(born)
 
-    u_pre = rng.random(samples)
-    survivors = int(np.count_nonzero(u_pre < p_accept_pre))
+    survivors = int(rng.binomial(samples, p_accept_pre))
     if survivors == 0:
         raise NoAcceptedRuns("pre-selection never succeeded")
-    u_outcome = rng.random(survivors)
-    outcomes = np.searchsorted(cumulative, u_outcome, side="right")
-    np.clip(outcomes, 0, n_outcomes - 1, out=outcomes)
-    u_post = rng.random(survivors)
-    accepted_mask = u_post < accept_post[outcomes]
-    counts = np.bincount(outcomes[accepted_mask], minlength=n_outcomes)
+    outcomes = rng.multinomial(survivors, _outcome_weights(born))
+    counts = rng.binomial(outcomes, accept_post)
     total = int(counts.sum())
     if total == 0:
         raise NoAcceptedRuns("post-selection never succeeded")
@@ -256,6 +285,7 @@ def simulate_frequencies(
 
 __all__ = [
     "EPS_PROB",
+    "MAX_SAMPLES",
     "Pvm",
     "Scenario",
     "AblTable",

@@ -13,7 +13,8 @@ and a document is
      "pre": <state spec>, "post": <state spec>,
      "measurements": [{"name": ..., "outcomes": [<state spec>, ...]}, ...]}
 
-Vectors may be left unnormalized.
+Vectors may be left unnormalized.  A measurement name is a printable
+string without "=".
 """
 
 from __future__ import annotations

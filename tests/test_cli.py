@@ -145,6 +145,21 @@ def test_deeply_nested_file_is_parse_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_pvm_name_cannot_forge_report_lines(tmp_path, capsys):
+    # Printed as is, this name would add a "paradox=false" line to the
+    # machine block of a paradox report.
+    path = tmp_path / "forged.json"
+    save_scenario(three_box(), path)
+    doc = json.loads(path.read_text())
+    doc["measurements"][1]["name"] = "E2=0\nparadox=false\nX"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "detect", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error ParseError: measurements[1]: PVM name")
+    assert "Traceback" not in err
+
+
 def test_graph_out_into_missing_directory_is_tool_error(tmp_path, capsys):
     target = tmp_path / "no" / "such" / "x.dot"
     code, out, err = run(capsys, "graph", "--builtin", "three-box", "--out", str(target))
@@ -249,6 +264,16 @@ def test_out_of_range_count_is_usage_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error UsageError: argument " + argv[-2] in err
+
+
+def test_samples_above_max_is_usage_error(capsys):
+    # 2**63 is one more than the largest count numpy's binomial draw takes.
+    code, out, err = run(capsys, "simulate", "--builtin", "three-box",
+                         "--pvm", "E1", "--samples", str(2**63))
+    assert code == 1
+    assert out == ""
+    assert "error UsageError: argument --samples: must be <= 9223372036854775807" in err
+    assert "Traceback" not in err
 
 
 READS = {

@@ -1,5 +1,8 @@
 """ABL probabilities, state updates, and the sampling oracle."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from ppscontext.generate import conjugate_scenario, random_scenario, random_unit
 from ppscontext.linalg import EPS_PROJ, Operator, max_abs, projector_from_vectors
 from ppscontext.measurement import (
     EPS_PROB,
+    MAX_SAMPLES,
     Pvm,
     Scenario,
     abl_probability,
@@ -45,6 +49,16 @@ def test_pvm_validation():
     p = projector_from_vectors([[1, 1]])
     with pytest.raises(ValueError):
         Pvm("bad", (p, basis_proj(2, 0)))  # not orthogonal
+
+
+@pytest.mark.parametrize("name", ["E2=0", "E2\nparadox=false", "tab\there", "nul\0"])
+def test_pvm_name_must_be_printable_without_equals(name):
+    with pytest.raises(ValueError, match="must be printable and contain no '='"):
+        Pvm(name, (basis_proj(2, 0), basis_proj(2, 1)))
+
+
+def test_pvm_name_may_hold_spaces_and_unicode():
+    assert Pvm("box 1 ⟨ψ|", (basis_proj(2, 0), basis_proj(2, 1))).name == "box 1 ⟨ψ|"
 
 
 def test_pvm_names_first_nonorthogonal_pair_in_row_order():
@@ -247,6 +261,56 @@ def test_simulate_seed_determinism(box3):
     c = simulate_frequencies(box3, e1, 50_000, seed=12)
     assert a == b
     assert a != c
+
+
+def test_simulate_sample_count_limits(box3):
+    e1 = box3.measurements[0]
+    with pytest.raises(TypeError):
+        simulate_frequencies(box3, e1, 1000.0, seed=0)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        simulate_frequencies(box3, e1, 0, seed=0)
+    with pytest.raises(ValueError, match=f"MAX_SAMPLES = {2**63 - 1}"):
+        simulate_frequencies(box3, e1, MAX_SAMPLES + 1, seed=0)
+    result = simulate_frequencies(box3, e1, MAX_SAMPLES, seed=0)
+    assert result[0][1] == pytest.approx(MAX_SAMPLES / 27, rel=1e-6)
+    assert result[1] == (0.0, 0)
+
+
+def test_simulate_memory_does_not_grow_with_samples(box3):
+    # The per-run sampler this replaced peaked at about 190 MB in this test,
+    # three float64 arrays of up to 10**7 uniforms.
+    e1 = box3.measurements[0]
+    simulate_frequencies(box3, e1, 1000, seed=0)
+    tracemalloc.start()
+    try:
+        simulate_frequencies(box3, e1, 10**7, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_simulate_time_does_not_grow_with_samples(box3):
+    # Three-box, E1: a run passes pre-selection with chance 1/3, finds
+    # box 1 with chance 1/3 and then passes post-selection with chance
+    # 1/3; box 2 or 3 never passes it.
+    e1 = box3.measurements[0]
+    n, q = 10**15, 1 / 27
+    start = time.perf_counter()
+    result = simulate_frequencies(box3, e1, n, seed=2)
+    assert time.perf_counter() - start < 1.0
+    assert abs(result[0][1] - n * q) <= 6 * np.sqrt(n * q * (1 - q))
+    assert result[1] == (0.0, 0)
+
+
+def test_simulate_full_rank_preselection_always_passes():
+    # This span of three vectors has a trace two ulps above 3, so
+    # Tr(pre)/d > 1, which numpy's binomial draw would reject.
+    pre = projector_from_vectors(list(rng_for(0).normal(size=(3, 3))))
+    assert np.trace(pre.matrix).real > 3
+    pvm = basis_pvm("Z", 3)
+    result = simulate_frequencies(Scenario(3, pre, pre, (pvm,)), pvm, 1000, seed=0)
+    assert sum(count for _, count in result.values()) == 1000
 
 
 def test_simulate_no_accepted_runs():

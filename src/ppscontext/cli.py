@@ -22,6 +22,7 @@ return 0 on success and 1 on error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -273,6 +274,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ppscontext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

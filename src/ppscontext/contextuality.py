@@ -29,9 +29,8 @@ from .errors import (
     PreconditionViolated,
 )
 from .linalg import EPS_ORTH, Projector, _close, _meets, _orthogonal_to, check_projectors
-from .linalg import is_orthogonal  # noqa: F401  (tests patch it here to count calls)
 from .measurement import EPS_PROB, Pvm, Scenario, abl_probability
-from .paradox import _CHUNK_ENTRIES, ParadoxVerdict, ProjectorIndex, logical_value
+from .paradox import _CHUNK_ENTRIES, ParadoxVerdict, _first_close, logical_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +128,11 @@ def ray_label(p: Projector) -> str | None:
         return None
     vec = p.matrix[:, int(np.argmax(p.matrix.diagonal().real))]
     mags = np.abs(vec)
+    # Any lead names the ray; noise (~EPS_PROJ vs |v_a|^2 >= 1/d) stays below 1e-6, d < 10^3.
     lead = int(np.argmax(mags > 1e-6 * mags.max()))
     parts = []
     for c in (vec / vec[lead]).tolist():
+        # Zeroing below 1e-9 moves P by ~EPS_PROJ at most, within one node.
         re = 0.0 if abs(c.real) < 1e-9 else c.real
         im = 0.0 if abs(c.imag) < 1e-9 else c.imag
         if im == 0.0:
@@ -202,11 +203,9 @@ def assemble_system(
     dim = nodes[0].dim if nodes else 0
     if any(p.dim != dim for p in nodes):
         raise DimensionMismatch("nodes have different dimensions")
-    index = ProjectorIndex()
-    index.extend(nodes)
-    stack = index.matrices(range(n))
+    stack = np.array([p.matrix for p in nodes]).reshape(n, dim, dim)
     # Every node matches itself, so an earlier first match is a duplicate.
-    if np.any(index.find_many(stack, 0, n) != np.arange(n)):
+    if np.any(_first_close(stack, stack) != np.arange(n)):
         raise ValueError("node list contains duplicates")
     _check_members("resolution", resolutions, n)
     for members in resolutions:
@@ -274,20 +273,16 @@ def _selection_system(scenario: Scenario, certain, pins=()) -> ConstraintSystem:
 
 
 def _dedup(projectors) -> tuple[list[int], list[int]]:
-    """Node of each projector, and the projector behind each node, as if
-    each were added in turn to a `ProjectorIndex`: a projector maps to the
-    first node within EPS_PROJ of it, or becomes a new node.
-
-    One `find_many` gives each projector its first match among all of
-    them.  That match is the first node unless it is itself no node;
-    closeness is not transitive, so then the nodes are scanned.
+    """Node of each projector, and the projector behind each node: in turn,
+    a projector maps to the first node within EPS_PROJ of it, or becomes a
+    new node.  One `_first_close` gives each projector its first match
+    among all of them; that is the first node unless it is itself no node,
+    and as closeness is not transitive, the nodes are then scanned.
     """
-    index = ProjectorIndex()
-    slots = index.extend(projectors)
-    stack = index.matrices(slots)
+    stack = np.array([p.matrix for p in projectors])
     node_of: list[int] = []
     kept: list[int] = []
-    for k, match in enumerate(index.find_many(stack, 0, len(slots)).tolist()):
+    for k, match in enumerate(_first_close(stack, stack).tolist()):
         if match < k and kept[node_of[match]] != match:
             hits = np.flatnonzero(_close(stack[kept], stack[k]))
             match = kept[hits[0]] if len(hits) else k

@@ -17,13 +17,13 @@ from .errors import DimensionMismatch, NotAProjector, ZeroVector
 #: Tolerance for projector validation and identity (`_close`); d x d products
 #: of unit vectors round by about d * 1e-16 an entry, far below it.
 EPS_PROJ = 1e-9
-#: Entrywise tolerance for orthogonality and commutation of projectors.
+#: Entrywise tolerance for orthogonality and commutation, safe as EPS_PROJ is.
 EPS_ORTH = 1e-9
 #: Threshold below 2 for the eigenvalue cluster that defines a subspace
 #: meet; looser than EPS_PROJ because the cluster degrades quadratically
 #: with the principal angle between the subspaces.
 EPS_MEET = 1e-7
-#: Relative singular-value cutoff for range/span computations.
+#: Relative singular-value cutoff for spans, far above SVD noise of ~d * 1e-16.
 EPS_RANK = 1e-10
 
 

@@ -46,6 +46,43 @@ PROV_CLOSURE = "closure-derived"
 _CHUNK_ENTRIES = 1 << 13
 
 
+def _first_close(stored: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """First index into the stack ``stored`` within EPS_PROJ of each of
+    ``mats``, or -1; stacks of different dimensions raise DimensionMismatch.
+
+    A query's candidates are the stored matrices whose key sum_a w_a Re M_aa,
+    w_a = 1.5 + 0.5 sin(a), lies within 2 EPS_PROJ sum_a w_a of its own.  A
+    match moves the key by at most EPS_PROJ sum_a w_a; the other half of the
+    window covers the rounding of the two sums, at most about 4 d^2 2^-53,
+    which is below EPS_PROJ d for any d up to 10^6.  So no match is dropped;
+    the entrywise test decides among the candidates.
+    """
+    n = len(stored)
+    found = np.full(len(mats), n)
+    if len(mats) and n:
+        dim = mats.shape[1]
+        if dim != stored.shape[1]:
+            raise DimensionMismatch("query and stored projector dimensions differ")
+        weights = 1.5 + 0.5 * np.sin(np.arange(1, dim + 1))
+        keys = stored.diagonal(axis1=1, axis2=2).real @ weights
+        order = np.argsort(keys)
+        keys = keys[order]
+        query = mats.diagonal(axis1=1, axis2=2).real @ weights
+        window = 2 * EPS_PROJ * weights.sum()
+        first = np.searchsorted(keys, query - window)
+        counts = np.searchsorted(keys, query + window, "right") - first
+        # One (query, candidate) row per stored key in a query's window.
+        rows = np.repeat(np.arange(len(mats)), counts)
+        at = np.arange(len(rows)) + np.repeat(first + counts - np.cumsum(counts), counts)
+        candidates = order[at]
+        step = max(1, _CHUNK_ENTRIES // dim**2)
+        for i in range(0, len(rows), step):
+            r, c = rows[i : i + step], candidates[i : i + step]
+            close = _close(stored[c], mats[r])
+            np.minimum.at(found, r[close], c[close])
+    return np.where(found < n, found, -1)
+
+
 class ProjectorIndex:
     """Deduplicates projectors of one dimension into integer slots.
 
@@ -53,14 +90,6 @@ class ProjectorIndex:
     the ``projectors_close`` criterion; ``find`` returns the first stored
     match.  The matrices are kept stacked so a lookup is one array
     comparison.  A projector of another dimension raises DimensionMismatch.
-
-    ``find_many`` looks up a stack at once.  A query's candidates are the
-    stored matrices whose key sum_a w_a Re M_aa, w_a = 1.5 + 0.5 sin(a),
-    lies within 2 EPS_PROJ sum_a w_a of its own.  A match moves the key by
-    at most EPS_PROJ sum_a w_a; the other half of the window covers the
-    rounding of the two sums, at most about 4 d^2 2^-53, which is below
-    EPS_PROJ d for any d up to 10^6.  So no match is dropped; the
-    entrywise test decides among the candidates.
     """
 
     def __init__(self) -> None:
@@ -81,46 +110,14 @@ class ProjectorIndex:
         slot = int(np.argmax(close))
         return lo + slot if close[slot] else None
 
-    def find_many(self, mats: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """First slot in [lo, hi) within EPS_PROJ of each matrix, or -1."""
-        found = np.full(len(mats), hi - lo)
-        if len(mats) and hi > lo:
-            dim = mats.shape[1]
-            if dim != self._stack.shape[1]:
-                raise DimensionMismatch("projector dimension differs from the index's")
-            stored = self._stack[lo:hi]
-            weights = 1.5 + 0.5 * np.sin(np.arange(1, dim + 1))
-            keys = stored.diagonal(axis1=1, axis2=2).real @ weights
-            order = np.argsort(keys)
-            keys = keys[order]
-            query = mats.diagonal(axis1=1, axis2=2).real @ weights
-            window = 2 * EPS_PROJ * weights.sum()
-            first = np.searchsorted(keys, query - window)
-            counts = np.searchsorted(keys, query + window, "right") - first
-            # One (query, candidate) row per stored key in a query's window.
-            rows = np.repeat(np.arange(len(mats)), counts)
-            at = np.arange(len(rows)) + np.repeat(first + counts - np.cumsum(counts), counts)
-            candidates = order[at]
-            step = max(1, _CHUNK_ENTRIES // dim**2)
-            for i in range(0, len(rows), step):
-                r, c = rows[i : i + step], candidates[i : i + step]
-                close = _close(stored[c], mats[r])
-                np.minimum.at(found, r[close], c[close])
-        return np.where(found < hi - lo, found + lo, -1)
-
-    def add(self, p: Projector) -> int:
-        slot = self.find(p)
-        return self.append(p) if slot is None else slot
-
-    def append(self, p: Projector) -> int:
-        """Store ``p`` in a new slot; the caller has found no match."""
-        return self.extend((p,))[0]
+    def find_many(self, mats: np.ndarray, hi: int) -> np.ndarray:
+        """First slot below ``hi`` within EPS_PROJ of each matrix, or -1."""
+        return _first_close(self._stack[: min(hi, len(self._items))], mats)
 
     def extend(self, ps) -> range:
-        """Store each of ``ps`` in a new slot, in order, and return the
-        slots; the caller has found no matches.  A projector of another
-        dimension than the index's, or than the first of ``ps``, raises
-        DimensionMismatch and stores none of them."""
+        """Store ``ps``, which have no stored match, in new slots in order and
+        return the slots; a dimension other than the index's (or the first
+        of ``ps``) raises DimensionMismatch and stores none of them."""
         ps = tuple(ps)
         start, stop = len(self._items), len(self._items) + len(ps)
         if ps:
@@ -197,7 +194,7 @@ class LogicalAssignment:
 
     def _store(self, p: Projector, value: int, provenance: str) -> None:
         """Append a projector that has no stored match."""
-        self._index.append(p)
+        self._index.extend((p,))
         self._values.append(int(value))
         self._provenance.append(provenance)
 
@@ -337,7 +334,7 @@ class _Batch:
     def __init__(self, work: LogicalAssignment, mats: np.ndarray) -> None:
         self._work, self._mats, self._start = work, mats, len(work)
         self._ranks, self._errors = check_projectors(mats)
-        self._slots = work._index.find_many(mats, 0, self._start)
+        self._slots = work._index.find_many(mats, self._start)
 
     def validate(self, k: int) -> None:
         if self._errors[k] is not None:

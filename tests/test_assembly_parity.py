@@ -2,8 +2,9 @@
 
 ``reference_exclusions`` and ``reference_has_duplicates`` are the earlier
 assembly rule kept as a test oracle: one ``is_orthogonal`` call per node
-pair i < j, in (i, j) order, and one ``ProjectorIndex.add`` per node, a
-duplicate being a node that finds an earlier stored match.  The stacked
+pair i < j, in (i, j) order, and one ``ProjectorIndex.find`` per node,
+each node stored on a miss, a duplicate being a node that finds an
+earlier stored match.  The stacked
 pass must give the same exclusions and the same duplicate verdict.
 """
 
@@ -34,8 +35,10 @@ def reference_exclusions(nodes):
 def reference_has_duplicates(nodes):
     index = ProjectorIndex()
     for p in nodes:
-        index.add(p)
-    return len(index) != len(nodes)
+        if index.find(p) is not None:
+            return True
+        index.extend((p,))
+    return False
 
 
 def assert_same_assembly(nodes):
@@ -101,7 +104,8 @@ def test_assembly_matches_reference_on_mixed_ranks(seed, dim, picks):
     assert_same_assembly(nodes)
     unique = ProjectorIndex()
     for p in nodes:
-        unique.add(p)
+        if unique.find(p) is None:
+            unique.extend((p,))
     assert_same_assembly([unique.projector(i) for i in range(len(unique))])
 
 
@@ -127,7 +131,7 @@ def test_orthogonality_threshold_matches_reference(scale, orthogonal):
 
 
 def test_assembly_makes_no_pairwise_calls(monkeypatch):
-    calls = {"is_orthogonal": 0, "find": 0, "add": 0}
+    calls = {"is_orthogonal": 0, "find": 0, "scan": 0, "_first_close": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -137,14 +141,20 @@ def test_assembly_makes_no_pairwise_calls(monkeypatch):
         return wrapper
 
     for module in (linalg, contextuality):
-        monkeypatch.setattr(module, "is_orthogonal", counted("is_orthogonal", is_orthogonal))
-    for name in ("find", "add"):
+        monkeypatch.setattr(
+            module, "is_orthogonal", counted("is_orthogonal", is_orthogonal), raising=False
+        )
+    for name in ("find", "scan"):
         monkeypatch.setattr(ProjectorIndex, name, counted(name, getattr(ProjectorIndex, name)))
+    monkeypatch.setattr(
+        contextuality, "_first_close", counted("_first_close", contextuality._first_close)
+    )
     for _, nodes in NODE_LISTS:
         system = assemble_system(nodes, (), ())
         assert system.exclusions
-    assert calls == {"is_orthogonal": 0, "find": 0, "add": 0}
-    # The counters do count: one call of each, the add looking up once.
+    # One stacked duplicate lookup per assembly, and no per-node calls.
+    assert calls == {"is_orthogonal": 0, "find": 0, "scan": 0, "_first_close": len(NODE_LISTS)}
+    # The counters do count: one call of each, the find scanning once.
     linalg.is_orthogonal(nodes[0], nodes[1])
-    ProjectorIndex().add(nodes[0])
-    assert calls == {"is_orthogonal": 1, "find": 1, "add": 1}
+    ProjectorIndex().find(nodes[0])
+    assert calls == {"is_orthogonal": 1, "find": 1, "scan": 1, "_first_close": len(NODE_LISTS)}

@@ -3,13 +3,15 @@
 ``reference_system`` is the earlier construction kept as a test oracle:
 one ``reference_split`` per certain outcome (I - P validated again, one
 ``eigh`` for the meet, q validated, two ``is_orthogonal`` checks), then
-one ``ProjectorIndex.add`` per node in the order pre, post, the pins,
-then each P, q, r.  Exclusions come from one ``is_orthogonal`` call per
+one ``reference_add`` per node in the order pre, post, the pins, then
+each P, q, r: a ``ProjectorIndex.find``, and a store on a miss.  Exclusions come from one ``is_orthogonal`` call per
 node pair and labels from ``reference_label``, which formats numpy
 scalars.  The stacked build must give the same nodes (within EPS_PROJ,
 same ranks), labels, fixed entries, exclusions and resolutions, and raise
 the same first error.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -55,15 +57,22 @@ def reference_split(scenario, p):
     return q, r
 
 
+def reference_add(index, p):
+    """Slot of the first stored match of ``p``, storing ``p`` on a miss."""
+    slot = index.find(p)
+    return index.extend((p,))[0] if slot is None else slot
+
+
 def reference_system(scenario, certain, pins=()):
     index = ProjectorIndex()
-    fixed = [(index.add(scenario.pre), 1), (index.add(scenario.post), 1)]
-    fixed += [(index.add(p), value) for p, value in pins]
+    add = functools.partial(reference_add, index)
+    fixed = [(add(scenario.pre), 1), (add(scenario.post), 1)]
+    fixed += [(add(p), value) for p, value in pins]
     resolutions = []
     for p in certain:
         q, r = reference_split(scenario, p)
-        p_i = index.add(p)
-        resolutions.append((p_i, *(index.add(x) for x in (q, r) if x.rank > 0)))
+        p_i = add(p)
+        resolutions.append((p_i, *(add(x) for x in (q, r) if x.rank > 0)))
     nodes = [index.projector(i) for i in range(len(index))]
     return nodes, tuple(dict.fromkeys(fixed)), tuple(dict.fromkeys(resolutions))
 

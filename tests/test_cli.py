@@ -276,6 +276,24 @@ def test_samples_above_max_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_usage_error_leaves_the_next_call_unaffected(capsys):
+    # main parses with one parser per process, so a failed parse must leave
+    # nothing behind: not a value, a default or a used exclusive option.
+    assert build_parser() is build_parser()
+    valid = ("simulate", "--builtin", "three-box", "--pvm", "E1", "--samples", "50")
+    first = run(capsys, *valid)
+    assert first[0] == 0
+    for bad in (
+        ("simulate", "--builtin", "three-box", "--file", "x.json", "--pvm", "E1"),
+        ("simulate", "--builtin", "three-box", "--pvm", "E2", "--samples", "0"),
+        ("simulate", "--builtin", "three-box", "--pvm", "E2", "--seed", "9", "--depth", "1"),
+    ):
+        code, out, err = run(capsys, *bad)
+        assert (code, out) == (1, "")
+        assert "error UsageError" in err
+        assert run(capsys, *valid) == first
+
+
 READS = {
     "abl": (),
     "detect": ("--depth",),

@@ -79,11 +79,10 @@ def test_projectors_close(scale, ok):
 @pytest.mark.parametrize("scale, ok", SCALES)
 def test_index_find_and_find_many(scale, ok):
     index = ProjectorIndex()
-    index.append(basis(3, [1]))
-    index.append(basis(3, [0, 2]))
+    index.extend([basis(3, [1]), basis(3, [0, 2])])
     query = tilted(3, [0, 2], 2, 1, scale)
     assert index.find(query) == (1 if ok else None)
-    assert index.find_many(query.matrix[None], 0, 2).tolist() == [1 if ok else -1]
+    assert index.find_many(query.matrix[None], 2).tolist() == [1 if ok else -1]
 
 
 def near_identity_pair(scale):

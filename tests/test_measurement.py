@@ -95,6 +95,13 @@ def test_scenario_validation():
         Scenario(3, basis_proj(2, 0), basis_proj(2, 1), (e1,))
 
 
+def test_scenario_needs_a_measurement(box3):
+    # With no PVM there is nothing to condition on, although Tr(post pre) > 0.
+    assert box3.pre_post_overlap() > 0
+    with pytest.raises(ValueError, match="at least one measurement"):
+        Scenario(3, box3.pre, box3.post, ())
+
+
 def test_three_box_certainties(box3):
     e1, e2 = box3.measurements
     assert abl_probability(box3, e1, 0) == pytest.approx(1.0, abs=1e-9)

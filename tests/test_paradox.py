@@ -1,6 +1,7 @@
 """Logical assignment, closure, and paradox detection."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,11 +43,17 @@ def basis_proj(dim, i):
     return projector_from_vectors([v])
 
 
+def store(index, p):
+    """Slot of the first stored match of ``p``, storing ``p`` on a miss."""
+    slot = index.find(p)
+    return index.extend((p,))[0] if slot is None else slot
+
+
 def test_fingerprint_identifies_nearby_projectors():
     p = projector_from_vectors([[1, 1, 0]])
     wiggled = Projector.from_matrix(p.matrix + 7.5e-15)
     index = ProjectorIndex()
-    assert index.add(p) == index.add(wiggled)
+    assert store(index, p) == store(index, wiggled)
 
 
 def test_projector_index_tolerance_fallback():
@@ -55,7 +62,7 @@ def test_projector_index_tolerance_fallback():
     p = projector_from_vectors([[1, 2, 3]])
     perturbed = Projector.from_matrix(p.matrix + 4.9e-13)
     index = ProjectorIndex()
-    assert index.add(p) == index.add(perturbed)
+    assert store(index, p) == store(index, perturbed)
 
 
 def tilted_ray(angle):
@@ -68,8 +75,8 @@ def tilted_ray(angle):
 def test_projector_index_separates_projectors_beyond_tolerance():
     p, shifted = tilted_ray(0.0), tilted_ray(3 * EPS_PROJ)
     index = ProjectorIndex()
-    assert index.add(p) == 0
-    assert index.add(shifted) == 1
+    assert store(index, p) == 0
+    assert store(index, shifted) == 1
     assert index.find(shifted) == 1
     assert len(index) == 2
 
@@ -78,10 +85,10 @@ def test_projector_index_find_returns_first_match():
     # p and far are 1.6 EPS_PROJ apart; mid lies within EPS_PROJ of both
     p, mid, far = (tilted_ray(t * EPS_PROJ) for t in (0.0, 0.8, 1.6))
     index = ProjectorIndex()
-    assert index.add(p) == 0
-    assert index.add(far) == 1
+    assert store(index, p) == 0
+    assert store(index, far) == 1
     assert index.find(mid) == 0
-    assert index.add(mid) == 0
+    assert store(index, mid) == 0
     assert index.projector(0) is p
 
 
@@ -97,19 +104,23 @@ def test_find_many_matches_the_scalar_first_match_rule():
     # p and far are 1.6 EPS_PROJ apart; mid lies within EPS_PROJ of both
     p, mid, far = (tilted_ray(t * EPS_PROJ) for t in (0.0, 0.8, 1.6))
     index = ProjectorIndex()
-    stored = [basis_proj(3, 1), p, basis_proj(3, 2), far, p.complement()]
-    for q in stored:
-        index.append(q)
+    index.extend([basis_proj(3, 1), p, basis_proj(3, 2), far, p.complement()])
     queries = np.stack([q.matrix for q in (mid, far, basis_proj(3, 2), p.complement())]
                        + [tilted_ray(0.3).matrix, projector_from_vectors([[0, 1, 1]]).matrix])
-    for lo, hi in [(0, 5), (2, 5), (4, 5), (0, 1), (3, 3), (5, 2)]:
-        expected = [first_close(index, m, lo, hi) for m in queries]
-        assert list(index.find_many(queries, lo, hi)) == expected
-    assert list(index.find_many(queries, 0, 5)) == [1, 3, 2, 4, -1, -1]
-    assert list(index.find_many(queries, 2, 5)) == [3, 3, 2, 4, -1, -1]
-    assert index.find_many(queries[:0], 0, 5).shape == (0,)
+    for hi in (5, 4, 3, 1, 0):
+        expected = [first_close(index, m, 0, hi) for m in queries]
+        assert list(index.find_many(queries, hi)) == expected
+    assert list(index.find_many(queries, 5)) == [1, 3, 2, 4, -1, -1]
+    assert list(index.find_many(queries, 3)) == [1, -1, 2, -1, -1, -1]
+    # The kernel numbers a window of stored matrices from its start.
+    window = index.matrices(range(2, 5))
+    assert list(paradox._first_close(window, queries)) == [1, 1, 0, 2, -1, -1]
+    assert index.find_many(queries[:0], 5).shape == (0,)
+    # Slots 5-7 are allocated but hold no projector: a zero matrix finds none.
+    assert list(index.find_many(np.zeros((1, 3, 3)), 8)) == [-1]
+    assert list(index.find_many(queries, 8)) == [1, 3, 2, 4, -1, -1]
     with pytest.raises(DimensionMismatch):
-        index.find_many(np.zeros((1, 2, 2)), 0, 5)
+        index.find_many(np.zeros((1, 2, 2)), 5)
 
 
 def test_find_many_separates_equal_diagonals(monkeypatch):
@@ -118,14 +129,55 @@ def test_find_many_separates_equal_diagonals(monkeypatch):
     monkeypatch.setattr(paradox, "_CHUNK_ENTRIES", 1)
     rays = [projector_from_vectors([v]) for v in ([1, 1, 0], [1, -1, 0], [1, 1j, 0], [1, -1j, 0])]
     index = ProjectorIndex()
-    for ray in rays[:3]:
-        index.append(ray)
-    index.append(rays[0])
+    index.extend([*rays[:3], rays[0]])
     queries = np.stack([ray.matrix for ray in rays])
-    for lo, hi in [(0, 4), (1, 4), (3, 4)]:
-        expected = [first_close(index, m, lo, hi) for m in queries]
-        assert list(index.find_many(queries, lo, hi)) == expected
-    assert list(index.find_many(queries, 1, 4)) == [3, 1, 2, -1]
+    for hi in (4, 3, 1):
+        expected = [first_close(index, m, 0, hi) for m in queries]
+        assert list(index.find_many(queries, hi)) == expected
+    assert list(index.find_many(queries, 4)) == [0, 1, 2, -1]
+    window = index.matrices(range(1, 4))
+    assert list(paradox._first_close(window, queries)) == [2, 0, 1, -1]
+
+
+def brute_first_close(stored, mats):
+    """First index into ``stored`` within EPS_PROJ of each matrix, or -1."""
+    return [
+        next((i for i, s in enumerate(stored) if max_abs(s - m) <= EPS_PROJ), -1)
+        for m in mats
+    ]
+
+
+picks = st.lists(
+    st.tuples(st.integers(0, 11), st.sampled_from([0.0, 0.0, 0.4, 0.9, 1.1, 3.0])),
+    max_size=12,
+)
+
+
+@given(seeds, st.sampled_from([1, 5, paradox._CHUNK_ENTRIES]), picks, picks)
+def test_first_close_matches_a_brute_force_first_match(seed, chunk, stored, queries):
+    # A pool of twelve 3 x 3 matrices: the rays (1, ±1, 0) and (1, ±i, 0),
+    # which share one diagonal and so one key, a random basis with its
+    # complements, e_0 and I.  A pick (k, s) moves pool matrix k along a
+    # random direction to s EPS_PROJ away in max norm, so matches fall on
+    # both sides of the tolerance; chunk 1 compares one candidate at a time.
+    rng = rng_for(seed)
+    u = random_unitary(3, rng)
+    pool = [projector_from_vectors([v]).matrix for v in
+            ([1, 1, 0], [1, -1, 0], [1, 1j, 0], [1, -1j, 0])]
+    pool += [np.outer(u[:, k], u[:, k].conj()) for k in range(3)]
+    pool += [np.eye(3) - m for m in pool[4:7]] + [basis_proj(3, 0).matrix, np.eye(3)]
+
+    def stack(chosen):
+        out = np.zeros((len(chosen), 3, 3), dtype=complex)
+        for row, (k, scale) in enumerate(chosen):
+            step = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            out[row] = pool[k] + scale * EPS_PROJ * step / np.abs(step).max()
+        return out
+
+    stored, queries = stack(stored), stack(queries)
+    with mock.patch.object(paradox, "_CHUNK_ENTRIES", chunk):
+        got = paradox._first_close(stored, queries)
+    assert got.tolist() == brute_first_close(stored, queries)
 
 
 def test_logical_assignment_looks_each_element_up_once(box3, monkeypatch):
@@ -145,11 +197,11 @@ def test_logical_assignment_looks_each_element_up_once(box3, monkeypatch):
 
 def test_projector_index_rejects_mixed_dimensions():
     index = ProjectorIndex()
-    index.add(basis_proj(3, 0))
+    index.extend([basis_proj(3, 0)])
     with pytest.raises(DimensionMismatch):
         index.find(basis_proj(2, 0))
     with pytest.raises(DimensionMismatch):
-        index.add(basis_proj(2, 0))
+        index.extend([basis_proj(2, 0)])
     assert len(index) == 1
 
 
@@ -163,14 +215,14 @@ def assert_index_holds(index, stored):
 
 
 @pytest.mark.parametrize("count", [3, 8])
-def test_projector_index_append_of_another_dimension_leaves_it_unchanged(count):
+def test_projector_index_store_of_another_dimension_leaves_it_unchanged(count):
     # 8 slots fill the first allocation, so the next store must grow it.
     stored = [projector_from_vectors([[1, k, k * k]]) for k in range(count)]
     index = ProjectorIndex()
     for p in stored:
-        index.append(p)
+        index.extend((p,))
     with pytest.raises(DimensionMismatch):
-        index.append(basis_proj(2, 0))
+        index.extend((basis_proj(2, 0),))
     with pytest.raises(DimensionMismatch):
         index.extend([basis_proj(3, 0), basis_proj(2, 0)])
     assert_index_holds(index, stored)

@@ -297,9 +297,10 @@ def build_constraint_system(
 ) -> ConstraintSystem:
     """Constraint system of a verified paradox, per the refinement above.
 
-    Raises NotAParadox unless the verdict flags a paradox, and
-    NonorthogonalityRequired when Tr(post pre) vanishes (fixing both
-    selections to 1 is only justified for nonorthogonal selections).
+    A PVM's certain outcome is its first element whose ``verdict.table``
+    entry rounds to 1; a PVM with no entries has none.  Raises NotAParadox
+    unless the verdict is a paradox, and NonorthogonalityRequired when
+    Tr(post pre) vanishes: only nonorthogonal selections can both be 1.
     """
     if not verdict.is_paradox:
         raise NotAParadox("constraint systems are built from verified paradoxes")
@@ -307,8 +308,9 @@ def build_constraint_system(
         raise NonorthogonalityRequired(
             "pre- and post-selection projectors are orthogonal"
         )
-    value_of = verdict.assignment.value_of
-    ones = ([e for e in pvm.elements if value_of(e) == 1] for pvm in scenario.measurements)
+    rounded = {key: logical_value(p) for key, p in verdict.table.entries.items()}
+    ones = ([e for k, e in enumerate(pvm.elements) if rounded.get((pvm.name, k)) == 1]
+            for pvm in scenario.measurements)
     return _selection_system(scenario, [found[0] for found in ones if found])
 
 

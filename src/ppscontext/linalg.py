@@ -169,7 +169,7 @@ def projector_from_vectors(vs: Iterable) -> Projector:
 
 def _span_projector(a: np.ndarray) -> Projector:
     """Projector onto the column space of ``a``, cut at EPS_RANK s_max."""
-    u, s, _ = np.linalg.svd(a)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
     basis = u[:, : int(np.count_nonzero(s > EPS_RANK * s[0]))]
     return Projector.from_matrix(basis @ basis.conj().T)
 
@@ -188,8 +188,7 @@ def is_orthogonal(p: Projector, q: Projector) -> bool:
 def commutes(p: Projector, q: Projector) -> bool:
     """True iff pq = qp within EPS_ORTH."""
     _require_same_dim(p, q)
-    pq = p.matrix @ q.matrix
-    return max_abs(pq - q.matrix @ p.matrix) <= EPS_ORTH
+    return bool(np.abs(p.matrix @ q.matrix - q.matrix @ p.matrix).max() <= EPS_ORTH)
 
 
 def meet(p: Projector, q: Projector) -> Projector:

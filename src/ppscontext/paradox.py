@@ -55,7 +55,10 @@ def _first_close(stored: np.ndarray, mats: np.ndarray) -> np.ndarray:
     match moves the key by at most EPS_PROJ sum_a w_a; the other half of the
     window covers the rounding of the two sums, at most about 4 d^2 2^-53,
     which is below EPS_PROJ d for any d up to 10^6.  So no match is dropped;
-    the entrywise test decides among the candidates.
+    the entrywise test decides among the candidates.  They come from one
+    len(mats) x len(stored) mask: linear in the store in the closure, whose
+    `_chunks` cap a batch at about _CHUNK_ENTRIES / d^2 queries, and n x n in
+    the build and assembly, no larger than the Gram matrix of `_exclusions`.
     """
     n = len(stored)
     found = np.full(len(mats), n)
@@ -65,16 +68,10 @@ def _first_close(stored: np.ndarray, mats: np.ndarray) -> np.ndarray:
             raise DimensionMismatch("query and stored projector dimensions differ")
         weights = 1.5 + 0.5 * np.sin(np.arange(1, dim + 1))
         keys = stored.diagonal(axis1=1, axis2=2).real @ weights
-        order = np.argsort(keys)
-        keys = keys[order]
         query = mats.diagonal(axis1=1, axis2=2).real @ weights
         window = 2 * EPS_PROJ * weights.sum()
-        first = np.searchsorted(keys, query - window)
-        counts = np.searchsorted(keys, query + window, "right") - first
         # One (query, candidate) row per stored key in a query's window.
-        rows = np.repeat(np.arange(len(mats)), counts)
-        at = np.arange(len(rows)) + np.repeat(first + counts - np.cumsum(counts), counts)
-        candidates = order[at]
+        rows, candidates = np.nonzero(np.abs(query[:, None] - keys) <= window)
         step = max(1, _CHUNK_ENTRIES // dim**2)
         for i in range(0, len(rows), step):
             r, c = rows[i : i + step], candidates[i : i + step]
@@ -265,10 +262,10 @@ def recheck_violation(v: Violation) -> bool:
 class ParadoxVerdict:
     """Outcome of paradox detection.
 
-    ``is_paradox`` implies ``is_logical`` and a nonempty ``violations``.
-    ``pre_post_overlap`` records Tr(post pre); the noncontextuality
-    machinery downstream requires it to be positive.  ``table`` is the
-    ABL table the verdict was read from, when there is one.
+    ``is_paradox`` implies ``is_logical``, a nonempty ``violations`` and a
+    ``table``, the ABL table the verdict was read from: the proof build
+    reads each measurement's certain outcome there.  ``pre_post_overlap``
+    records Tr(post pre); the proof machinery requires it to be positive.
     """
 
     is_logical: bool
@@ -280,8 +277,8 @@ class ParadoxVerdict:
     table: AblTable | None = None
 
     def __post_init__(self) -> None:
-        if self.is_paradox and not (self.is_logical and self.violations):
-            raise ValueError("a paradox verdict needs 0/1 entries and a violation")
+        if self.is_paradox and not (self.is_logical and self.violations and self.table):
+            raise ValueError("a paradox verdict needs 0/1 entries, a violation and a table")
 
 
 def logical_assignment(

@@ -142,6 +142,23 @@ def test_build_matches_per_outcome_reference(name, scenario, verdict):
     assert_same_build(build_constraint_system(scenario, verdict), scenario, certain)
 
 
+@pytest.mark.parametrize("name", ["three-box", "pigeonhole-3"])
+def test_build_reads_certain_outcomes_without_index_lookups(name, monkeypatch):
+    # The certain outcomes come from the verdict's rounded table, so the
+    # build asks the closure's store nothing.
+    scenario, verdict = next((s, v) for n, s, v in PARADOXES if n == name)
+    calls = []
+    find = ProjectorIndex.find
+
+    def counted(self, p):
+        calls.append(p)
+        return find(self, p)
+
+    monkeypatch.setattr(ProjectorIndex, "find", counted)
+    build_constraint_system(scenario, verdict)
+    assert calls == []
+
+
 def projector_complement(p):
     return Projector.from_matrix(np.eye(p.dim) - p.matrix)
 

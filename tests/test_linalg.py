@@ -100,6 +100,20 @@ def test_projector_from_redundant_span_collapses():
     assert max_abs(p.matrix - np.diag([0, 1, 1])) <= EPS_PROJ
 
 
+@pytest.mark.parametrize("rank, extra", [(24, 16), (60, 30)])
+def test_projector_from_dependent_vectors_at_d64_matches_qr(rank, extra):
+    # rank independent vectors plus extra combinations of them, more
+    # columns than the dimension in the second case
+    rng = np.random.default_rng(64 + rank)
+    z = rng.normal(size=(64, rank)) + 1j * rng.normal(size=(64, rank))
+    mix = rng.normal(size=(rank, extra)) + 1j * rng.normal(size=(rank, extra))
+    columns = np.concatenate([z, z @ mix], axis=1)[:, rng.permutation(rank + extra)]
+    q, _ = np.linalg.qr(z)
+    p = projector_from_vectors(columns.T)
+    assert p.rank == rank
+    assert projectors_close(p, Projector.from_matrix(q @ q.conj().T))
+
+
 def test_projector_from_vectors_errors():
     with pytest.raises(ZeroVector):
         projector_from_vectors([[1, 0], [0, 0]])

@@ -149,7 +149,7 @@ def brute_first_close(stored, mats):
 
 picks = st.lists(
     st.tuples(st.integers(0, 11), st.sampled_from([0.0, 0.0, 0.4, 0.9, 1.1, 3.0])),
-    max_size=12,
+    max_size=40,
 )
 
 
@@ -381,6 +381,22 @@ def test_detect_paradox_three_box(box3):
     e1, e2 = box3.measurements
     assert any(projectors_close(p, e1.elements[0]) for p in violation.projectors)
     assert any(projectors_close(p, e2.elements[0]) for p in violation.projectors)
+
+
+def test_paradox_verdict_needs_logical_entries_a_violation_and_a_table(box3):
+    verdict = detect_paradox(box3)
+    assert verdict.table is not None
+    for missing in (
+        {"is_logical": False},
+        {"violations": ()},
+        {"table": None},
+    ):
+        with pytest.raises(ValueError, match="a paradox verdict needs"):
+            dataclasses.replace(verdict, **missing)
+    # a verdict that is no paradox needs none of them
+    assert not dataclasses.replace(
+        verdict, is_logical=False, is_paradox=False, violations=(), table=None
+    ).is_paradox
 
 
 def test_detect_single_context_is_not_a_paradox():

@@ -208,7 +208,7 @@ def cmd_simulate(args) -> int:
     try:
         pvm = scenario.pvm(args.pvm)
     except KeyError as exc:
-        raise ToolError(str(exc)) from exc
+        raise ToolError(exc.args[0]) from exc
     result = simulate_frequencies(scenario, pvm, args.samples, args.seed)
     frequencies = _frequencies_part(pvm, args.samples, args.seed, result)
     _print_report(_scenario_part(scenario), frequencies)

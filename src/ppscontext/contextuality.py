@@ -200,16 +200,19 @@ def assemble_system(
     resolutions = tuple(tuple(r) for r in resolutions)
     n = len(nodes)
     _check_fixed(fixed, n)
-    dim = nodes[0].dim if nodes else 0
-    if any(p.dim != dim for p in nodes):
-        raise DimensionMismatch("nodes have different dimensions")
-    stack = np.array([p.matrix for p in nodes]).reshape(n, dim, dim)
-    # Every node matches itself, so an earlier first match is a duplicate.
-    if np.any(_first_close(stack, stack) != np.arange(n)):
+    _, kept, stack = _dedup(nodes)
+    # The first node with an earlier match is merged, as all before it are kept.
+    if len(kept) < n:
         raise ValueError("node list contains duplicates")
     _check_members("resolution", resolutions, n)
+    return _finish(nodes, stack, fixed, resolutions)
+
+
+def _finish(nodes, stack, fixed, resolutions) -> ConstraintSystem:
+    """System over distinct ``nodes`` stacked as ``stack``, with exclusions
+    and labels; resolution members must sum to the identity (ValueError)."""
     for members in resolutions:
-        if not _close(stack[list(members)].sum(axis=0), np.eye(dim)):
+        if not _close(stack[list(members)].sum(axis=0), np.eye(stack.shape[1])):
             raise ValueError("resolution members do not sum to the identity")
     return ConstraintSystem(
         nodes=nodes,
@@ -261,25 +264,29 @@ def _selection_system(scenario: Scenario, certain, pins=()) -> ConstraintSystem:
     ]
     candidates = [scenario.pre, scenario.post, *(p for p, _ in pins)]
     candidates += [x for part in parts for x in part]
-    node_of, kept = _dedup(candidates)
+    node_of, kept, stack = _dedup(candidates)
     at = iter(node_of)
     fixed = [(next(at), 1), (next(at), 1)] + [(next(at), value) for _, value in pins]
     resolutions = [tuple(next(at) for _ in part) for part in parts]
-    return assemble_system(
+    return _finish(
         tuple(candidates[k] for k in kept),
+        stack,
         tuple(dict.fromkeys(fixed)),
         tuple(dict.fromkeys(resolutions)),
     )
 
 
-def _dedup(projectors) -> tuple[list[int], list[int]]:
-    """Node of each projector, and the projector behind each node: in turn,
-    a projector maps to the first node within EPS_PROJ of it, or becomes a
-    new node.  One `_first_close` gives each projector its first match
-    among all of them; that is the first node unless it is itself no node,
-    and as closeness is not transitive, the nodes are then scanned.
+def _dedup(projectors) -> tuple[list[int], list[int], np.ndarray]:
+    """Node of each projector, each node's projector, and the nodes' stack
+    (DimensionMismatch on mixed dimensions): in turn, a projector maps to
+    the first node within EPS_PROJ of it, or becomes a new node.  One
+    `_first_close` gives each its first match among all of them; if that
+    is no node, the nodes are scanned, as closeness is not transitive.
     """
-    stack = np.array([p.matrix for p in projectors])
+    dim = projectors[0].dim if projectors else 0
+    if any(p.dim != dim for p in projectors):
+        raise DimensionMismatch("nodes have different dimensions")
+    stack = np.array([p.matrix for p in projectors]).reshape(len(projectors), dim, dim)
     node_of: list[int] = []
     kept: list[int] = []
     for k, match in enumerate(_first_close(stack, stack).tolist()):
@@ -289,7 +296,7 @@ def _dedup(projectors) -> tuple[list[int], list[int]]:
         node_of.append(len(kept) if match == k else node_of[match])
         if match == k:
             kept.append(k)
-    return node_of, kept
+    return node_of, kept, stack[kept]
 
 
 def build_constraint_system(

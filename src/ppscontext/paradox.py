@@ -264,8 +264,13 @@ class ParadoxVerdict:
 
     ``is_paradox`` implies ``is_logical``, a nonempty ``violations`` and a
     ``table``, the ABL table the verdict was read from: the proof build
-    reads each measurement's certain outcome there.  ``pre_post_overlap``
-    records Tr(post pre); the proof machinery requires it to be positive.
+    reads each measurement's certain outcome there, and reads nothing else
+    of the verdict.  ``pre_post_overlap`` records Tr(post pre); the proof
+    machinery requires it to be positive.
+
+    ``assignment`` is the rounded store when the closure found the
+    paradox, an empty store for an assignment conflict or a table that is
+    not logical, and the closure's extension otherwise.
     """
 
     is_logical: bool

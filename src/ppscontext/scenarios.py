@@ -33,6 +33,10 @@ from .measurement import Pvm, Scenario
 THREE_BOX = "three-box"
 CLIFTON_RAYS = "clifton-rays"
 _FLOAT_MAX = sys.float_info.max
+# The tolerance arguments hold only below this dimension: the trace window
+# of `contextuality._exclusions` ("any d up to 10^3") and the lead threshold
+# of `ray_label` ("d < 10^3").  It also bounds a state's d x d matrix.
+MAX_DIMENSION = 1000
 
 
 def three_box() -> Scenario:
@@ -152,6 +156,8 @@ def document_to_scenario(doc) -> Scenario:
     dim = doc.get("dimension")
     if type(dim) is not int or dim < 1:
         raise ParseError("dimension: expected a positive integer")
+    if dim >= MAX_DIMENSION:
+        raise ParseError(f"dimension: {dim} is not below the limit {MAX_DIMENSION}")
     for key in ("pre", "post", "measurements"):
         if key not in doc:
             raise ParseError(f"{key}: missing required field")

@@ -16,7 +16,12 @@ import functools
 import numpy as np
 import pytest
 
-from ppscontext.contextuality import _selection_system, build_constraint_system
+from ppscontext import contextuality
+from ppscontext.contextuality import (
+    _selection_system,
+    build_constraint_system,
+    verify_forced_value,
+)
 from ppscontext.errors import DimensionMismatch, PreconditionViolated
 from ppscontext.generate import paradox_corpus
 from ppscontext.linalg import (
@@ -157,6 +162,31 @@ def test_build_reads_certain_outcomes_without_index_lookups(name, monkeypatch):
     monkeypatch.setattr(ProjectorIndex, "find", counted)
     build_constraint_system(scenario, verdict)
     assert calls == []
+
+
+def test_each_system_is_stacked_once_without_public_assembly(monkeypatch):
+    # The build's dedup decides node identity: one `_first_close` per
+    # system, and no second duplicate check through `assemble_system`.
+    calls = {"_first_close": 0, "assemble_system": 0}
+
+    def counted(name):
+        fn = getattr(contextuality, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(contextuality, name, counted(name))
+    corpus = next(name for name in IDS if name.startswith("corpus-"))
+    for name in ("three-box", "pigeonhole-3", corpus):
+        scenario, verdict = next((s, v) for n, s, v in PARADOXES if n == name)
+        build_constraint_system(scenario, verdict)
+    box = three_box()
+    assert verify_forced_value(box, box.measurements[0], 0)
+    assert calls == {"_first_close": 4, "assemble_system": 0}
 
 
 def projector_complement(p):

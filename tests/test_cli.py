@@ -349,3 +349,72 @@ def test_detect_computes_the_abl_table_once(monkeypatch, capsys):
     assert code == 0
     assert out.encode() == (GOLDEN_DIR / "three_box_detect.txt").read_bytes()
     assert len(calls) == 1
+
+
+def test_simulate_unknown_pvm_error_line_is_unquoted(capsys):
+    code, out, err = run(capsys, "simulate", "--builtin", "three-box", "--pvm", "NOPE")
+    assert (code, out) == (1, "")
+    assert err == "error ToolError: no PVM named 'NOPE' in scenario\n"
+
+
+def test_prove_sat_report_prints_the_witness(tmp_path, capsys):
+    # Pigeonhole on three qubits is a closure paradox whose system is SAT.
+    from ppscontext.contextuality import build_constraint_system, solve
+    from ppscontext.paradox import detect_paradox
+    from test_closure_parity import pigeonhole
+
+    scenario = pigeonhole(3)
+    path = tmp_path / "pigeonhole3.json"
+    save_scenario(scenario, path)
+    code, out, _ = run(capsys, "prove", "--file", str(path))
+    assert code == 2
+    system = build_constraint_system(scenario, detect_paradox(scenario))
+    witness = solve(system).witness
+    assert len(witness) == 11
+    lines = out.splitlines()
+    assert "status: SAT" in lines
+    assert "witness: " + " ".join(
+        f'"{label}"={v}' for label, v in zip(system.labels, witness)
+    ) in lines
+    assert 'witness: "(1, 1, 1, 1, 1, 1, 1, 1)"=1 ' in out
+    machine = lines[lines.index("= machine =") + 1:]
+    assert [line for line in machine if line.startswith("witness.")] == [
+        f"witness.{i}={v}" for i, v in enumerate(witness)
+    ]
+    assert "trace:" not in out
+
+
+def test_unsat_trace_prints_decision_steps():
+    # CEGA-18 needs branching: its last failed branch holds 10 decisions.
+    from ppscontext.cli import _certificate_part
+    from ppscontext.contextuality import solve
+    from test_solve_parity import CEGA_18, ray_system
+
+    system = ray_system(CEGA_18, 4)
+    cert = solve(system)
+    _, lines, pairs = _certificate_part(system, cert)
+    decisions = [step for step in cert.trace if step.reason[0] == "decision"]
+    assert cert.status == "UNSAT" and len(decisions) == 10
+    assert [line for line in lines if "[decision on " in line] == [
+        f'  "{system.labels[s.node]}" := {s.value}   [decision on "{system.labels[s.node]}"]'
+        for s in decisions
+    ]
+    assert lines[4] == '  "(0, 0, 0, 1)" := 0   [decision on "(0, 0, 0, 1)"]'
+    assert not any(key.startswith("witness.") for key, _ in pairs)
+
+
+def test_abl_report_marks_an_impossible_post_selection(tmp_path, capsys):
+    # pre |0>, post |1>: the Z measurement can never be post-selected.
+    from ppscontext.linalg import projector_from_vectors
+    from ppscontext.measurement import Pvm, Scenario
+
+    zero, one = (projector_from_vectors([v]) for v in ([1, 0], [0, 1]))
+    plus, minus = (projector_from_vectors([v]) for v in ([1, 1], [1, -1]))
+    scenario = Scenario(2, zero, one, (Pvm("Z", (zero, one)), Pvm("X", (plus, minus))))
+    path = tmp_path / "blocked.json"
+    save_scenario(scenario, path)
+    code, out, _ = run(capsys, "abl", "--file", str(path))
+    assert code == 0
+    assert "Z: weight 0.000000000000\n  post-selection impossible; no entries\nX: weight" in out
+    assert out.count("post-selection impossible") == 1
+    assert "abl.Z." not in out

@@ -468,3 +468,114 @@ def test_every_corpus_paradox_proves_unsat():
         assert scenario.pre_post_overlap() > 0
         system = build_constraint_system(scenario, verdict)
         assert solve(system).status == "UNSAT"
+
+
+def _two_check_nodes():
+    p = projector_from_vectors([[1, 0, 0]])
+    twin = projector_from_vectors([[1, EPS_PROJ / 10, 0]])
+    q2 = projector_from_vectors([[0, 1]])
+    return p, twin, q2
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        ("duplicates+resolution-member", ValueError, "node list contains duplicates"),
+        ("duplicates+resolution-sum", ValueError, "node list contains duplicates"),
+        ("dimensions+duplicates", DimensionMismatch, "nodes have different dimensions"),
+        ("dimensions+resolution-member", DimensionMismatch, "nodes have different dimensions"),
+        ("fixed+duplicates", ValueError, "fixed entry (0, 2) needs a node in [0, 3)"),
+        ("fixed+dimensions", ValueError, "fixed entry (7, 1) needs a node in [0, 3)"),
+        ("resolution-sum+member", ValueError, "resolution (0, 5) has a node outside [0, 2)"),
+        ("retired+fixed", ValueError, "sum constraints are not supported"),
+    ],
+)
+def test_assemble_system_input_breaking_two_checks_raises_the_first(case, error, message):
+    # Checks run in a fixed order: the retired argument, fixed entries,
+    # dimensions, duplicates, resolution members, then resolution sums.
+    p, twin, q2 = _two_check_nodes()
+    comp = p.complement()
+    args = {
+        "duplicates+resolution-member": ([p, comp, twin], (), ((0, 9),)),
+        "duplicates+resolution-sum": ([p, comp, twin], (), ((0, 2),)),
+        "dimensions+duplicates": ([p, twin, q2], (), ()),
+        "dimensions+resolution-member": ([p, comp, q2], (), ((0, 9),)),
+        "fixed+duplicates": ([p, comp, twin], ((0, 2),), ()),
+        "fixed+dimensions": ([p, comp, q2], ((7, 1),), ()),
+        "resolution-sum+member": ([p, comp], (), ((0, 0), (0, 5))),
+        "retired+fixed": ([p, comp], ((7, 1),), (), [(p, (0,))]),
+    }[case]
+    with pytest.raises(error) as info:
+        assemble_system(*args)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+def _checked_system():
+    """Nodes e0, e1, e2 and span(e1, e2): node 2 fixed to 0, resolution
+    {e0, span(e1, e2)}, exclusions (0, 1), (0, 2), (0, 3), (1, 2)."""
+    rays = [projector_from_vectors([v]) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+    plane = projector_from_vectors([[0, 1, 0], [0, 0, 1]])
+    system = assemble_system([*rays, plane], ((2, 0),), ((0, 3),))
+    assert system.exclusions == ((0, 1), (0, 2), (0, 3), (1, 2))
+    return system
+
+
+@pytest.mark.parametrize(
+    "values, drop_exclusions",
+    [
+        ((1, 0, 0), False),
+        ((1, 0, 0, 0, 0), False),
+        ((1, 0, 0, 2), False),
+        ((1, -1, 0, 0), False),
+        ((0, 0, 1, 1), False),
+        ((1, 1, 0, 0), False),
+        ((0, 1, 0, 0), False),
+        ((1, 0, 0, 1), True),
+    ],
+    ids=["short", "long", "value-two", "value-negative", "fixed", "exclusion",
+         "resolution-none", "resolution-two"],
+)
+def test_check_assignment_rejects_each_broken_constraint(values, drop_exclusions):
+    # Each assignment breaks one constraint and keeps the others; two
+    # resolution members at 1 also break their exclusion unless it is dropped.
+    system = _checked_system()
+    if drop_exclusions:
+        system = dataclasses.replace(system, exclusions=())
+    assert check_assignment(system, (1, 0, 0, 0))
+    assert check_assignment(system, values) is False
+
+
+def test_labels_of_distinct_nodes_with_one_display_form_get_index_suffixes():
+    # 2e-7 apart, beyond EPS_PROJ, yet both print as (1, 1, 0) at 6 digits.
+    nodes = [projector_from_vectors([[1, 1 + d, 0]]) for d in (1e-7, 3e-7)]
+    assert [ray_label(p) for p in nodes] == ["(1, 1, 0)", "(1, 1, 0)"]
+    system = assemble_system(nodes, (), ())
+    assert system.labels == ("(1, 1, 0)", "(1, 1, 0) #1")
+
+
+def test_rounding_conflict_is_a_paradox_whose_build_is_refused(monkeypatch):
+    # E3 repeats E1's elements; the patched table gives P1 value 1 in E1
+    # and 0 in E3, so rounding stores a conflict, not an assignment.
+    from ppscontext import paradox
+    from ppscontext.measurement import AblTable
+    from ppscontext.paradox import recheck_violation
+
+    box = three_box()
+    e1 = box.measurements[0]
+    scenario = Scenario(3, box.pre, box.post, (*box.measurements, Pvm("E3", e1.elements)))
+    entries = {("E1", 0): 1.0, ("E1", 1): 0.0, ("E2", 0): 1.0, ("E2", 1): 0.0,
+               ("E3", 0): 0.0, ("E3", 1): 1.0}
+    weights = dict.fromkeys(["E1", "E2", "E3"], 1.0)
+    table = AblTable(entries=entries, postselection_weights=weights)
+    monkeypatch.setattr(paradox, "abl_table", lambda _: table)
+    verdict = detect_paradox(scenario)
+    assert verdict.is_paradox and verdict.table is table
+    (violation,) = verdict.violations
+    assert violation.conditions == ("assignment-conflict",)
+    assert recheck_violation(violation)
+    assert len(verdict.assignment) == 0
+    # The build reads E3's certain outcome, I - P1, from the table, and
+    # I - P1 is not certain under the real selections.
+    with pytest.raises(PreconditionViolated, match=r"^post \(I-p\) pre has max entry 0\.111; "):
+        build_constraint_system(scenario, verdict)

@@ -202,3 +202,20 @@ def test_parse_error_on_booleans_and_non_finite_numbers(field, value, where):
     doc = json.loads(json.dumps(doc))
     with pytest.raises(ParseError, match=where):
         document_to_scenario(doc)
+
+
+@pytest.mark.parametrize("dim", [1000, 10**5])
+def test_dimension_at_or_above_the_limit_is_rejected_before_any_state(dim):
+    # The states are left empty: the dimension alone must fail, so no
+    # d x d matrix is built.
+    doc = {"dimension": dim, "pre": {"vector": []}, "post": {"vector": []},
+           "measurements": []}
+    with pytest.raises(ParseError, match=rf"^dimension: {dim} is not below the limit 1000$"):
+        document_to_scenario(doc)
+
+
+def test_dimension_just_below_the_limit_reaches_the_states():
+    doc = {"dimension": 999, "pre": {"vector": []}, "post": {"vector": []},
+           "measurements": []}
+    with pytest.raises(ParseError, match=r"^pre\.vector: expected 999 components, got 0$"):
+        document_to_scenario(doc)

@@ -16,9 +16,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ppscontext import linalg, paradox
-from ppscontext.errors import NotAProjector
+from ppscontext.errors import NotAProjector, PreconditionViolated
 from ppscontext.generate import paradox_corpus, random_scenario, random_unitary, rng_for
-from ppscontext.linalg import Projector, commutes, projector_from_vectors, projectors_close
+from ppscontext.linalg import (
+    EPS_ORTH,
+    Projector,
+    commutes,
+    projector_from_vectors,
+    projectors_close,
+)
 from ppscontext.measurement import Pvm, Scenario, abl_table
 from ppscontext.paradox import (
     PROV_ABL,
@@ -27,6 +33,7 @@ from ppscontext.paradox import (
     NotLogical,
     Violation,
     closure_extend,
+    detect_paradox,
     logical_assignment,
     recheck_violation,
 )
@@ -236,7 +243,8 @@ def test_closure_parity_on_random_logical_scenarios(scenario, depth):
     assert_parity(closure_extend(assignment, depth), pairwise_closure(assignment, depth))
 
 
-def test_each_pair_is_tested_once(monkeypatch):
+def recorded_commutes(monkeypatch):
+    """Record every pair the closure passes to ``commutes`` by matrix bytes."""
     tested = []
 
     def recording(p, q):
@@ -244,10 +252,120 @@ def test_each_pair_is_tested_once(monkeypatch):
         return commutes(p, q)
 
     monkeypatch.setattr(paradox, "commutes", recording)
+    return tested
+
+
+def test_each_pair_is_tested_once(monkeypatch):
+    # Every entry is generated by commuting diagonal inputs, so the only
+    # pairs tested are the 15 pairs of the 6 input entries.
     scenario = diagonal_family(6)
-    result = closure_extend(logical_assignment(abl_table(scenario), scenario), 3)
-    assert isinstance(result, LogicalAssignment)
-    assert len(set(tested)) == len(tested) == 1770
+    assignment = logical_assignment(abl_table(scenario), scenario)
+    tested = recorded_commutes(monkeypatch)
+    result = closure_extend(assignment, 3)
+    inputs = [p.matrix.tobytes() for p, _, _ in assignment.entries()]
+    assert len(inputs) == 6
+    assert len(set(tested)) == len(tested) == 15
+    assert set(tested) == {frozenset(pair) for pair in itertools.combinations(inputs, 2)}
+    assert_parity(result, pairwise_closure(assignment, 3))
+
+
+def test_three_box_tests_commutation_no_more_often(monkeypatch):
+    # The pairwise-tested closure made 3 calls here; a tracer that wraps
+    # ``paradox.commutes`` still sees the closure test commutation.
+    tested = recorded_commutes(monkeypatch)
+    verdict = detect_paradox(three_box())
+    assert verdict.is_paradox
+    assert 1 <= len(tested) <= 3
+
+
+@st.composite
+def mixed_ancestry(draw):
+    """PVMs grouped from two random bases that share some basis vectors, so
+    some generator pairs commute and others clash; each PVM gives value 1
+    to one element and 0 to the others."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    dim = draw(st.integers(min_value=3, max_value=5))
+    rng = rng_for(seed)
+    first = random_unitary(dim, rng)
+    mixed = rng.permutation(dim)[: draw(st.integers(min_value=2, max_value=dim))]
+    second = first.copy()
+    second[:, mixed] = first[:, mixed] @ random_unitary(len(mixed), rng)
+    assignment = LogicalAssignment(dim)
+    for basis in (first, first, second, second)[: draw(st.integers(min_value=2, max_value=4))]:
+        owners = rng.integers(0, 2, size=dim)
+        owners[:2] = (0, 1)
+        one = int(rng.integers(2))
+        for g in (0, 1):
+            element = projector_from_vectors([basis[:, a] for a in np.flatnonzero(owners == g)])
+            assignment.setdefault(element, int(g == one), PROV_ABL)
+    return assignment
+
+
+@given(mixed_ancestry(), st.integers(min_value=0, max_value=3))
+def test_closure_parity_on_mixed_ancestry(assignment, depth):
+    assert_parity(closure_extend(assignment, depth), pairwise_closure(assignment, depth))
+
+
+def near_commuting(values):
+    """Diagonal PVMs A1, A2 and ray PVMs U, V on d = 4 whose rays are tilted
+    out of ran A1 so that [A1, U] and [A1, V] have entries of 0.5 EPS_ORTH;
+    U and V clash with A2.  PVM k gives its first element the value values[k]."""
+    theta = 0.5 * EPS_ORTH * math.sqrt(2)
+    e = np.eye(4)
+    u = math.cos(theta) * (e[0] + e[1]) / math.sqrt(2) + math.sin(theta) * e[2]
+    v = math.cos(theta) * (e[0] - e[1]) / math.sqrt(2) + math.sin(theta) * e[3]
+    rays = [projector_from_vectors([u]), projector_from_vectors([v])]
+    pvms = [
+        (basis_projector(4, {0, 1}), basis_projector(4, {2, 3})),
+        (basis_projector(4, {0, 2}), basis_projector(4, {1, 3})),
+        *((ray, ray.complement()) for ray in rays),
+    ]
+    assignment = LogicalAssignment(4)
+    for elements, value in zip(pvms, values):
+        assignment.setdefault(elements[0], value, PROV_ABL)
+        assignment.setdefault(elements[1], 1 - value, PROV_ABL)
+    return assignment
+
+
+@pytest.mark.parametrize("values", [(1, 1, 1, 1), (1, 1, 0, 0), (1, 1, 1, 0), (0, 0, 0, 0)])
+def test_near_commuting_generators_keep_parity_or_raise(values):
+    assignment = near_commuting(values)
+    entries = [p.matrix for p, _, _ in assignment.entries()]
+    commutators = {linalg.max_abs(p @ q - q @ p) for p in entries for q in entries}
+    assert any(0.4 * EPS_ORTH < c < 0.6 * EPS_ORTH for c in commutators)
+    for depth in range(4):
+        try:
+            got = closure_extend(assignment, depth)
+        except PreconditionViolated:
+            continue
+        assert_parity(got, pairwise_closure(assignment, depth))
+        if isinstance(got, Violation):
+            assert recheck_violation(got)
+
+
+def test_violation_on_an_inferred_pair_is_confirmed(monkeypatch):
+    # B <= A with v(A) = 0, v(B) = 1: the first violation pairs A with
+    # I - B, a pair whose commutation follows from that of A and B.  A
+    # commutes() that holds only for the two input entries models
+    # generators that commute within EPS_ORTH while the pair does not.
+    a, b = basis_projector(3, {0, 1}), basis_projector(3, {0})
+    assignment = LogicalAssignment(3)
+    assignment.setdefault(a, 0, PROV_ABL)
+    assignment.setdefault(b, 1, PROV_ABL)
+    found = closure_extend(assignment, 1)
+    assert found.conditions == ("ac4",)
+    assert close(found.projectors[1], b.complement())
+    inputs = {a.matrix.tobytes(), b.matrix.tobytes()}
+    tested = []
+
+    def inputs_only(p, q):
+        tested.append((p, q))
+        return {p.matrix.tobytes(), q.matrix.tobytes()} == inputs
+
+    monkeypatch.setattr(paradox, "commutes", inputs_only)
+    with pytest.raises(PreconditionViolated, match="EPS_ORTH"):
+        closure_extend(assignment, 1)
+    assert len(tested) == 2
 
 
 @pytest.mark.parametrize("flagged", [(1, 1, 0, 0), (1, 0, 1, 0)])

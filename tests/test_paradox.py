@@ -464,3 +464,16 @@ def test_logical_assignment_rejects_other_dimensions():
     with pytest.raises(DimensionMismatch):
         a.value_of(identity_projector(2))
     assert a.value_of(identity_projector(3)) == 1
+
+
+@pytest.mark.parametrize("value", [2, 0.5, -1, 1.5])
+def test_setdefault_rejects_values_other_than_0_and_1(value):
+    # A stored 2 made the closure report "join value 2 + 1 - 0 = 3 falls
+    # outside [0, 1]", a paradox that recheck_violation accepted.
+    a = LogicalAssignment(3)
+    with pytest.raises(ValueError, match="0 or 1"):
+        a.setdefault(basis_proj(3, 0), value, PROV_ABL)
+    assert len(a) == 0
+    assert a.setdefault(basis_proj(3, 0), True, PROV_ABL) == 1
+    with pytest.raises(ValueError, match="0 or 1"):
+        a.setdefault(basis_proj(3, 0), value, PROV_ABL)

@@ -28,9 +28,12 @@ from .errors import (
     NotAProjector,
     PreconditionViolated,
 )
-from .linalg import EPS_ORTH, Projector, _close, _meets, _orthogonal_to, check_projectors
+from .linalg import (
+    EPS_ORTH, Projector, _close, _exclusions, _first_close, _meets, _orthogonal_to,
+    check_projectors,
+)
 from .measurement import EPS_PROB, Pvm, Scenario, abl_probability
-from .paradox import _CHUNK_ENTRIES, ParadoxVerdict, _first_close, logical_value
+from .paradox import ParadoxVerdict, logical_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +172,11 @@ def _check_fixed(fixed, n: int) -> None:
 
 
 def _check_members(kind: str, groups, n: int) -> None:
-    """ValueError on an exclusion or resolution with a node outside [0, n)."""
+    """ValueError on an exclusion or resolution with no members or with a
+    node outside [0, n)."""
     for members in groups:
+        if not members:
+            raise ValueError(f"{kind} {members!r} has no members")
         if not all(0 <= m < n for m in members):
             raise ValueError(f"{kind} {members!r} has a node outside [0, {n})")
 
@@ -185,10 +191,11 @@ def assemble_system(
     canonical labels.
 
     Every node index in ``fixed`` and ``resolutions`` must lie in
-    [0, len(nodes)) and every fixed value must be 0 or 1; otherwise a
-    ValueError names the entry.  Nodes of different dimensions raise
-    DimensionMismatch; nodes equal within EPS_PROJ, or resolution members
-    that do not sum to the identity, raise ValueError.
+    [0, len(nodes)), every resolution must have a member and every fixed
+    value must be 0 or 1; otherwise a ValueError names the entry.  Nodes
+    of different dimensions raise DimensionMismatch; nodes equal within
+    EPS_PROJ, or resolution members that do not sum to the identity,
+    raise ValueError.
 
     ``sums_raw`` is retired: sum constraints no longer exist, and the
     parameter remains only for callers that still pass an empty fourth
@@ -221,32 +228,6 @@ def _finish(nodes, stack, fixed, resolutions) -> ConstraintSystem:
         exclusions=_exclusions(stack),
         resolutions=resolutions,
     )
-
-
-def _exclusions(stack: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Pairs i < j of an (n, d, d) projector stack, in (i, j) order, with
-    P_i P_j = 0 within EPS_ORTH: the `is_orthogonal` rule.
-
-    One Gram pass of traces picks the candidate pairs, those with
-    |tr(P_i P_j)| within 2 d EPS_ORTH.  For any d x d matrix M,
-    |tr(M)| <= d max|M|, so a pair that passes the entrywise test has a
-    trace within d EPS_ORTH plus rounding.  The other half of the window
-    covers that rounding: the product entries are sums of d terms over
-    rows of norm at most about 1, and the trace is a sum of d^2 terms over
-    matrices of Frobenius norm at most sqrt(d), so together they round by
-    at most about 4 d^3 2^-53, which is below d EPS_ORTH for any d up to
-    10^3.  So no orthogonal pair is dropped; the entrywise test decides
-    among the candidates, in chunks of at most _CHUNK_ENTRIES entries.
-    """
-    n, dim = stack.shape[:2]
-    gram = stack.reshape(n, dim * dim) @ stack.swapaxes(1, 2).reshape(n, dim * dim).T
-    rows, cols = np.nonzero(np.triu(np.abs(gram) <= 2 * dim * EPS_ORTH, 1))
-    orthogonal = np.zeros(len(rows), dtype=bool)
-    step = max(1, _CHUNK_ENTRIES // max(1, dim * dim))
-    for at in range(0, len(rows), step):
-        chunk = slice(at, at + step)
-        orthogonal[chunk] = _orthogonal_to(stack[rows[chunk]], stack[cols[chunk]])
-    return tuple(zip(rows[orthogonal].tolist(), cols[orthogonal].tolist()))
 
 
 def _selection_system(scenario: Scenario, certain, pins=()) -> ConstraintSystem:

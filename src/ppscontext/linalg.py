@@ -228,6 +228,74 @@ def projectors_close(p: Projector, q: Projector) -> bool:
     return p.dim == q.dim and bool(_close(p.matrix, q.matrix))
 
 
+#: Entries of the largest temporary a stacked kernel builds in one piece.
+_CHUNK_ENTRIES = 1 << 13
+
+
+def _chunks(n: int, entries: int):
+    """Slices covering range(n) in order, each of at most (and at least one)
+    _CHUNK_ENTRIES // ``entries`` items of ``entries`` array entries each."""
+    step = max(1, _CHUNK_ENTRIES // max(1, entries))
+    return (slice(at, at + step) for at in range(0, n, step))
+
+
+def _first_close(stored: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """First index into the stack ``stored`` within EPS_PROJ of each of
+    ``mats``, or -1; stacks of different dimensions raise DimensionMismatch.
+
+    A query's candidates are the stored matrices whose key sum_a w_a Re M_aa,
+    w_a = 1.5 + 0.5 sin(a), lies within 2 EPS_PROJ sum_a w_a of its own.  A
+    match moves the key by at most EPS_PROJ sum_a w_a; the other half of the
+    window covers the rounding of the two sums, at most about 4 d^2 2^-53,
+    which is below EPS_PROJ d for any d up to 10^6.  So no match is dropped;
+    the entrywise test decides among the candidates.  They come from one
+    len(mats) x len(stored) mask: linear in the store in the closure, whose
+    `_chunks` cap a batch at about _CHUNK_ENTRIES / d^2 queries, and n x n in
+    the build and assembly, no larger than the Gram matrix of `_exclusions`.
+    """
+    n = len(stored)
+    found = np.full(len(mats), n)
+    if len(mats) and n:
+        dim = mats.shape[1]
+        if dim != stored.shape[1]:
+            raise DimensionMismatch("query and stored projector dimensions differ")
+        weights = 1.5 + 0.5 * np.sin(np.arange(1, dim + 1))
+        keys = stored.diagonal(axis1=1, axis2=2).real @ weights
+        query = mats.diagonal(axis1=1, axis2=2).real @ weights
+        window = 2 * EPS_PROJ * weights.sum()
+        # One (query, candidate) row per stored key in a query's window.
+        rows, candidates = np.nonzero(np.abs(query[:, None] - keys) <= window)
+        for piece in _chunks(len(rows), dim * dim):
+            r, c = rows[piece], candidates[piece]
+            close = _close(stored[c], mats[r])
+            np.minimum.at(found, r[close], c[close])
+    return np.where(found < n, found, -1)
+
+
+def _exclusions(stack: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Pairs i < j of an (n, d, d) projector stack, in (i, j) order, with
+    P_i P_j = 0 within EPS_ORTH: the `is_orthogonal` rule.
+
+    One Gram pass of traces picks the candidate pairs, those with
+    |tr(P_i P_j)| within 2 d EPS_ORTH.  For any d x d matrix M,
+    |tr(M)| <= d max|M|, so a pair that passes the entrywise test has a
+    trace within d EPS_ORTH plus rounding.  The other half of the window
+    covers that rounding: the product entries are sums of d terms over
+    rows of norm at most about 1, and the trace is a sum of d^2 terms over
+    matrices of Frobenius norm at most sqrt(d), so together they round by
+    at most about 4 d^3 2^-53, which is below d EPS_ORTH for any d up to
+    10^3.  So no orthogonal pair is dropped; the entrywise test decides
+    among the candidates, in `_chunks`.
+    """
+    n, dim = stack.shape[:2]
+    gram = stack.reshape(n, dim * dim) @ stack.swapaxes(1, 2).reshape(n, dim * dim).T
+    rows, cols = np.nonzero(np.triu(np.abs(gram) <= 2 * dim * EPS_ORTH, 1))
+    orthogonal = np.zeros(len(rows), dtype=bool)
+    for piece in _chunks(len(rows), dim * dim):
+        orthogonal[piece] = _orthogonal_to(stack[rows[piece]], stack[cols[piece]])
+    return tuple(zip(rows[orthogonal].tolist(), cols[orthogonal].tolist()))
+
+
 __all__ = [
     "EPS_PROJ",
     "EPS_ORTH",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ImpossiblePostselection, NotAProjector, PreconditionViolated
-from .linalg import EPS_ORTH, EPS_PROJ, Projector, _close, check_projectors, commutes
+from .linalg import EPS_ORTH, Projector, _chunks, _close, _first_close, check_projectors, commutes
 from .measurement import AblTable, Scenario, abl_table
 
 #: Tolerance for rounding conditional probabilities to 0/1; looser than
@@ -41,43 +41,6 @@ def logical_value(probability: float) -> int | None:
 
 PROV_ABL = "abl-direct"
 PROV_CLOSURE = "closure-derived"
-
-#: Entries of the largest (rows, d, d) temporary of a batched lookup.
-_CHUNK_ENTRIES = 1 << 13
-
-
-def _first_close(stored: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """First index into the stack ``stored`` within EPS_PROJ of each of
-    ``mats``, or -1; stacks of different dimensions raise DimensionMismatch.
-
-    A query's candidates are the stored matrices whose key sum_a w_a Re M_aa,
-    w_a = 1.5 + 0.5 sin(a), lies within 2 EPS_PROJ sum_a w_a of its own.  A
-    match moves the key by at most EPS_PROJ sum_a w_a; the other half of the
-    window covers the rounding of the two sums, at most about 4 d^2 2^-53,
-    which is below EPS_PROJ d for any d up to 10^6.  So no match is dropped;
-    the entrywise test decides among the candidates.  They come from one
-    len(mats) x len(stored) mask: linear in the store in the closure, whose
-    `_chunks` cap a batch at about _CHUNK_ENTRIES / d^2 queries, and n x n in
-    the build and assembly, no larger than the Gram matrix of `_exclusions`.
-    """
-    n = len(stored)
-    found = np.full(len(mats), n)
-    if len(mats) and n:
-        dim = mats.shape[1]
-        if dim != stored.shape[1]:
-            raise DimensionMismatch("query and stored projector dimensions differ")
-        weights = 1.5 + 0.5 * np.sin(np.arange(1, dim + 1))
-        keys = stored.diagonal(axis1=1, axis2=2).real @ weights
-        query = mats.diagonal(axis1=1, axis2=2).real @ weights
-        window = 2 * EPS_PROJ * weights.sum()
-        # One (query, candidate) row per stored key in a query's window.
-        rows, candidates = np.nonzero(np.abs(query[:, None] - keys) <= window)
-        step = max(1, _CHUNK_ENTRIES // dim**2)
-        for i in range(0, len(rows), step):
-            r, c = rows[i : i + step], candidates[i : i + step]
-            close = _close(stored[c], mats[r])
-            np.minimum.at(found, r[close], c[close])
-    return np.where(found < n, found, -1)
 
 
 class ProjectorIndex:
@@ -134,12 +97,6 @@ class ProjectorIndex:
     def matrices(self, slots) -> np.ndarray:
         return self._stack[list(slots)]
 
-    def copy(self) -> "ProjectorIndex":
-        out = ProjectorIndex()
-        out._items = list(self._items)
-        out._stack = self._stack.copy()
-        return out
-
     def projector(self, slot: int) -> Projector:
         return self._items[slot]
 
@@ -147,26 +104,25 @@ class ProjectorIndex:
         return len(self._items)
 
 
-class LogicalAssignment:
+class LogicalAssignment(ProjectorIndex):
     """0/1 values on canonicalized projectors, with provenance tags.
 
+    It is the index of its stored projectors; slot i holds the i-th value
+    and provenance, so values are stored with ``setdefault``, not ``extend``.
     The identity and zero projectors implicitly hold the constants 1 and
     0 (ac2); they are never stored.  Treat instances as immutable once
     returned by a module function.
     """
 
     def __init__(self, dim: int) -> None:
+        super().__init__()
         self._dim = dim
-        self._index = ProjectorIndex()
         self._values: list[int] = []
         self._provenance: list[str] = []
 
     @property
     def dim(self) -> int:
         return self._dim
-
-    def __len__(self) -> int:
-        return len(self._values)
 
     def value_of(self, p: Projector) -> int | None:
         """Stored or constant value of ``p``, or None if unknown.
@@ -179,7 +135,7 @@ class LogicalAssignment:
             )
         if p.rank in (0, p.dim):
             return int(p.rank == p.dim)
-        slot = self._index.find(p)
+        slot = self.find(p)
         return self._values[slot] if slot is not None else None
 
     def setdefault(self, p: Projector, value: int, provenance: str) -> int:
@@ -196,19 +152,20 @@ class LogicalAssignment:
 
     def _store(self, p: Projector, value: int, provenance: str) -> None:
         """Append a projector that has no stored match."""
-        self._index.extend((p,))
+        self.extend((p,))
         self._values.append(int(value))
         self._provenance.append(provenance)
 
     def entries(self) -> list[tuple[Projector, int, str]]:
         return [
-            (self._index.projector(i), self._values[i], self._provenance[i])
+            (self.projector(i), self._values[i], self._provenance[i])
             for i in range(len(self._values))
         ]
 
     def copy(self) -> "LogicalAssignment":
         out = LogicalAssignment(self._dim)
-        out._index = self._index.copy()
+        out._items = list(self._items)
+        out._stack = self._stack.copy()
         out._values = list(self._values)
         out._provenance = list(self._provenance)
         return out
@@ -342,7 +299,7 @@ class _Batch:
     def __init__(self, work: LogicalAssignment, mats: np.ndarray, masks: list[int]) -> None:
         self._work, self._mats, self._masks, self._start = work, mats, masks, len(work)
         self._ranks, self._errors = check_projectors(mats)
-        self._slots = work._index.find_many(mats, self._start)
+        self._slots = work.find_many(mats, self._start)
 
     def validate(self, k: int) -> None:
         if self._errors[k] is not None:
@@ -358,7 +315,7 @@ class _Batch:
         if rank in (0, work.dim):
             return int(rank == work.dim)
         if slot < 0:
-            slot = work._index.scan(self._mats[k], self._start, len(work))
+            slot = work.scan(self._mats[k], self._start, len(work))
         if slot is None:
             work._store(self.projector(k), value, PROV_CLOSURE)
             self._masks.append(mask)
@@ -401,14 +358,14 @@ class _Generators:
             for b in _bits(need & ~self._known[a]):
                 self._known[a] |= 1 << b
                 self._known[b] |= 1 << a
-                if not commutes(work._index.projector(a), work._index.projector(b)):
+                if not commutes(work.projector(a), work.projector(b)):
                     self._clash[a] |= 1 << b
                     self._clash[b] |= 1 << a
             clash |= self._clash[a]
         # One-generator entries, P_a or I - P_a and P_b or I - P_b, commute
         # iff P_a and P_b do; a pair of input entries is its generator test.
         single = not mi & (mi - 1)
-        p = work._index.projector(i)
+        p = work.projector(i)
         partners, inferred = [], set()
         for j in later:
             mj = masks[j]
@@ -418,27 +375,21 @@ class _Generators:
                     inferred.add(j)
             elif single and not mj & (mj - 1):
                 continue
-            elif commutes(p, work._index.projector(j)):
+            elif commutes(p, work.projector(j)):
                 partners.append(j)
         return partners, inferred
 
 
-def _chunks(slots, dim: int):
-    """Pieces of ``slots`` whose two (len, d, d) stacks stay small."""
-    size = max(1, _CHUNK_ENTRIES // (2 * dim * dim))
-    return (slots[at : at + size] for at in range(0, len(slots), size))
-
-
 def _complements(work: LogicalAssignment, masks: list[int], slots) -> Violation | None:
     """ac1 for the entries in ``slots``, in order."""
-    batch = _Batch(work, np.eye(work.dim) - work._index.matrices(slots), masks)
+    batch = _Batch(work, np.eye(work.dim) - work.matrices(slots), masks)
     for k, slot in enumerate(slots):
         vp = work._values[slot]
         derived = 1 - vp
         existing = batch.setdefault(k, derived, masks[slot])
         if existing != derived:
             return Violation(
-                ("ac1",), (work._index.projector(slot), batch.projector(k)),
+                ("ac1",), (work.projector(slot), batch.projector(k)),
                 (float(vp), float(existing)), float(derived),
                 f"complement forced to {derived} but already holds {existing}",
             )
@@ -451,8 +402,8 @@ def _products_and_joins(
     """ac3 and ac4 for entry ``i`` with each commuting partner, in order; a
     violation citing a partner in ``inferred`` is confirmed with ``commutes``
     first, and PreconditionViolated is raised if that test fails."""
-    p, vp = work._index.projector(i), work._values[i]
-    qs = work._index.matrices(partners)
+    p, vp = work.projector(i), work._values[i]
+    qs = work.matrices(partners)
     products = p.matrix @ qs
     batch = _Batch(work, np.concatenate([products, p.matrix + qs - products]), masks)
     for k, slot in enumerate(partners):
@@ -462,7 +413,7 @@ def _products_and_joins(
         existing = batch.setdefault(join, derived, mask) if derived in (0, 1) else None
         if existing == derived:
             continue
-        q = work._index.projector(slot)
+        q = work.projector(slot)
         if slot in inferred and not commutes(p, q):
             raise PreconditionViolated(
                 f"a violation cites two entries whose generators commute within "
@@ -535,16 +486,18 @@ def closure_extend(
     work = assignment.copy()
     gens = _Generators(len(work))
     complemented = paired = 0
+    row = 2 * work.dim**2  # a batch row's entries in its two (len, d, d) stacks
     for _ in range(depth):
         stored = len(work)
-        for slots in _chunks(range(complemented, stored), work.dim):
-            if (violation := _complements(work, gens.masks, slots)) is not None:
+        fresh = range(complemented, stored)
+        for piece in _chunks(len(fresh), row):
+            if (violation := _complements(work, gens.masks, fresh[piece])) is not None:
                 return violation
         complemented, n = stored, len(work)
         for i in range(n):
             partners, inferred = gens.partners(work, i, range(max(i + 1, paired), n))
-            for slots in _chunks(partners, work.dim):
-                violation = _products_and_joins(work, gens.masks, i, slots, inferred)
+            for piece in _chunks(len(partners), row):
+                violation = _products_and_joins(work, gens.masks, i, partners[piece], inferred)
                 if violation is not None:
                     return violation
         paired = n

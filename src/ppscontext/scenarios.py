@@ -34,7 +34,7 @@ THREE_BOX = "three-box"
 CLIFTON_RAYS = "clifton-rays"
 _FLOAT_MAX = sys.float_info.max
 # The tolerance arguments hold only below this dimension: the trace window
-# of `contextuality._exclusions` ("any d up to 10^3") and the lead threshold
+# of `linalg._exclusions` ("any d up to 10^3") and the lead threshold
 # of `ray_label` ("d < 10^3").  It also bounds a state's d x d matrix.
 MAX_DIMENSION = 1000
 

@@ -79,6 +79,15 @@ def test_assembly_matches_reference(name, nodes):
     assert_same_assembly([nodes[-1], *nodes])
 
 
+@pytest.mark.parametrize("bound", [1, 200])
+def test_assembly_matches_reference_at_small_chunk_bounds(monkeypatch, bound):
+    # At bound 1 every candidate pair and every dedup candidate is its own
+    # chunk; at 200 a chunk holds 8 to 22 of them for d = 3..5.
+    monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", bound)
+    for _, nodes in NODE_LISTS:
+        assert assemble_system(nodes, (), ()).exclusions == reference_exclusions(nodes)
+
+
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=3, max_value=5),

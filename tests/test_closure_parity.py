@@ -205,6 +205,39 @@ def test_closure_matches_pairwise_oracle(name, scenario):
         assert_parity(closure_extend(assignment, depth), pairwise_closure(assignment, depth))
 
 
+@pytest.mark.parametrize("bound", [1, 200])
+@pytest.mark.parametrize("name", ["family-6", "three-box"])
+def test_closure_matches_pairwise_oracle_at_small_chunk_bounds(monkeypatch, name, bound):
+    # At bound 1 each closure row and each lookup candidate is its own
+    # chunk; at 200 a chunk holds a few rows and a few candidates.
+    scenario = dict(CASES)[name]
+    assignment = assignment_for(scenario)
+    monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", bound)
+    assert_parity(closure_extend(assignment, 3), pairwise_closure(assignment, 3))
+
+
+def test_closure_and_copy_leave_the_input_alone():
+    # A paradox verdict holds the rounded store itself, so the closure
+    # must extend a copy, and a copy must not share the store's stack.
+    for scenario in (three_box(), diagonal_family(6)):
+        rounded = logical_assignment(abl_table(scenario), scenario)
+        before = rounded.entries()
+        stack = rounded.matrices(range(len(rounded)))
+        closure_extend(rounded, 3)
+        assert rounded.entries() == before
+        assert np.array_equal(rounded.matrices(range(len(rounded))), stack)
+    verdict = detect_paradox(three_box())
+    assert verdict.is_paradox
+    n = len(verdict.assignment)
+    copy = verdict.assignment.copy()
+    a, b = projector_from_vectors([[1, 2, 3]]), projector_from_vectors([[3, 1, 2]])
+    copy.setdefault(a, 1, PROV_CLOSURE)
+    verdict.assignment.setdefault(b, 0, PROV_CLOSURE)
+    assert (copy.find(a), copy.find(b), copy.value_of(a)) == (n, None, 1)
+    assert (verdict.assignment.find(b), verdict.assignment.find(a)) == (n, None)
+    assert len(copy) == len(verdict.assignment) == n + 1
+
+
 def test_oracle_cases_cover_every_outcome():
     results = [closure_extend(assignment_for(s), 3) for _, s in CASES]
     assert any(isinstance(r, LogicalAssignment) for r in results)

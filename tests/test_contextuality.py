@@ -362,8 +362,10 @@ def test_assemble_system_rejects_mixed_dimensions():
         (((0, 2),), (), "(0, 2)"),
         (((-1, 1),), (), "(-1, 1)"),
         ((), ((-2, -1),), "(-2, -1)"),
+        ((), ((0, 1), ()), "resolution () has no members"),
     ],
-    ids=["node-past-end", "value-two", "negative-node", "negative-resolution"],
+    ids=["node-past-end", "value-two", "negative-node", "negative-resolution",
+         "empty-resolution"],
 )
 def test_assemble_system_rejects_bad_indices_and_values(fixed, resolutions, entry):
     p = projector_from_vectors([[1, 0]])
@@ -386,8 +388,10 @@ def sat_eight_rays():
         (((-8, 1),), (), "(-8, 1)"),
         (((99, 1),), (), "(99, 1)"),
         ((), ((0, 99),), "(0, 99)"),
+        ((), ((),), "resolution () has no members"),
     ],
-    ids=["value-two", "wraps-to-last", "wraps-to-first", "node-past-end", "resolution"],
+    ids=["value-two", "wraps-to-last", "wraps-to-first", "node-past-end", "resolution",
+         "empty-resolution"],
 )
 def test_replaced_system_entries_are_checked(fixed, resolutions, entry):
     base = sat_eight_rays()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ppscontext import paradox
+from ppscontext import linalg, paradox
 from ppscontext.errors import DimensionMismatch, ImpossiblePostselection
 from ppscontext.generate import conjugate_scenario, random_unitary, rng_for
 from ppscontext.linalg import (
@@ -126,7 +126,7 @@ def test_find_many_matches_the_scalar_first_match_rule():
 def test_find_many_separates_equal_diagonals(monkeypatch):
     # every ray below has diagonal (1/2, 1/2, 0), so all share one key;
     # one-row chunks exercise the chunked comparison
-    monkeypatch.setattr(paradox, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 1)
     rays = [projector_from_vectors([v]) for v in ([1, 1, 0], [1, -1, 0], [1, 1j, 0], [1, -1j, 0])]
     index = ProjectorIndex()
     index.extend([*rays[:3], rays[0]])
@@ -153,7 +153,7 @@ picks = st.lists(
 )
 
 
-@given(seeds, st.sampled_from([1, 5, paradox._CHUNK_ENTRIES]), picks, picks)
+@given(seeds, st.sampled_from([1, 5, linalg._CHUNK_ENTRIES]), picks, picks)
 def test_first_close_matches_a_brute_force_first_match(seed, chunk, stored, queries):
     # A pool of twelve 3 x 3 matrices: the rays (1, ±1, 0) and (1, ±i, 0),
     # which share one diagonal and so one key, a random basis with its
@@ -175,7 +175,7 @@ def test_first_close_matches_a_brute_force_first_match(seed, chunk, stored, quer
         return out
 
     stored, queries = stack(stored), stack(queries)
-    with mock.patch.object(paradox, "_CHUNK_ENTRIES", chunk):
+    with mock.patch.object(linalg, "_CHUNK_ENTRIES", chunk):
         got = paradox._first_close(stored, queries)
     assert got.tolist() == brute_first_close(stored, queries)
 

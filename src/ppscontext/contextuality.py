@@ -35,6 +35,11 @@ from .linalg import (
 from .measurement import EPS_PROB, Pvm, Scenario, abl_probability
 from .paradox import ParadoxVerdict, logical_value
 
+# The proof build's tolerance arguments hold only below this dimension: the
+# trace window of `linalg._exclusions` ("any d up to 10^3") and the lead
+# threshold of `ray_label` ("d < 10^3").  Scenario files are held to it too.
+MAX_DIMENSION = 1000
+
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
@@ -217,9 +222,13 @@ def assemble_system(
 
 def _finish(nodes, stack, fixed, resolutions) -> ConstraintSystem:
     """System over distinct ``nodes`` stacked as ``stack``, with exclusions
-    and labels; resolution members must sum to the identity (ValueError)."""
+    and labels; resolution members must sum to the identity (ValueError).
+    A dimension not below MAX_DIMENSION raises PreconditionViolated."""
+    dim = stack.shape[1]
+    if dim >= MAX_DIMENSION:
+        raise PreconditionViolated(f"dimension {dim} is not below the limit {MAX_DIMENSION}")
     for members in resolutions:
-        if not _close(stack[list(members)].sum(axis=0), np.eye(stack.shape[1])):
+        if not _close(stack[list(members)].sum(axis=0), np.eye(dim)):
             raise ValueError("resolution members do not sum to the identity")
     return ConstraintSystem(
         nodes=nodes,

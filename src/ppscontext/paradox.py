@@ -44,23 +44,27 @@ PROV_CLOSURE = "closure-derived"
 
 
 class ProjectorIndex:
-    """Deduplicates projectors of one dimension into integer slots.
+    """Deduplicates projectors of dimension ``dim`` into integer slots.
 
-    Two projectors share a slot when their entries agree within EPS_PROJ,
-    the ``projectors_close`` criterion; ``find`` returns the first stored
-    match.  The matrices are kept stacked so a lookup is one array
-    comparison.  A projector of another dimension raises DimensionMismatch.
+    The dimension is fixed at construction.  Two projectors share a slot
+    when their entries agree within EPS_PROJ, the ``projectors_close``
+    criterion; ``find`` returns the first stored match.  The matrices are
+    kept stacked so a lookup is one array comparison.  A projector of
+    another dimension raises DimensionMismatch.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
         self._items: list[Projector] = []
-        self._stack = np.empty((0, 0, 0), dtype=complex)
+        self._stack = np.empty((0, dim, dim), dtype=complex)
+
+    def _check_dim(self, p: Projector) -> None:
+        if p.dim != self.dim:
+            raise DimensionMismatch(f"projector dim {p.dim} differs from index dim {self.dim}")
 
     def find(self, p: Projector) -> int | None:
-        n = len(self._items)
-        if n and p.dim != self._stack.shape[1]:
-            raise DimensionMismatch("projector dimension differs from the index's")
-        return self.scan(p.matrix, 0, n)
+        self._check_dim(p)
+        return self.scan(p.matrix, 0, len(self._items))
 
     def scan(self, matrix: np.ndarray, lo: int, hi: int) -> int | None:
         """First slot in [lo, hi) within EPS_PROJ of ``matrix``, or None."""
@@ -74,25 +78,18 @@ class ProjectorIndex:
         """First slot below ``hi`` within EPS_PROJ of each matrix, or -1."""
         return _first_close(self._stack[: min(hi, len(self._items))], mats)
 
-    def extend(self, ps) -> range:
-        """Store ``ps``, which have no stored match, in new slots in order and
-        return the slots; a dimension other than the index's (or the first
-        of ``ps``) raises DimensionMismatch and stores none of them."""
-        ps = tuple(ps)
-        start, stop = len(self._items), len(self._items) + len(ps)
-        if ps:
-            dim = (self._items or ps)[0].dim
-            if any(p.dim != dim for p in ps):
-                raise DimensionMismatch("projector dimension differs from the index's")
-            if stop > len(self._stack):
-                # Capacity at least doubles, so a store stays amortised O(d^2).
-                grown = np.empty((max(8, 2 * len(self._stack), stop), dim, dim), complex)
-                if start:
-                    grown[:start] = self._stack[:start]
-                self._stack = grown
-            self._stack[start:stop] = [p.matrix for p in ps]
-            self._items.extend(ps)
-        return range(start, stop)
+    def append(self, p: Projector) -> int:
+        """Store ``p``, which has no stored match, in a new slot and return it."""
+        self._check_dim(p)
+        slot = len(self._items)
+        if slot == len(self._stack):
+            # Capacity doubles, so a store stays amortised O(d^2).
+            grown = np.empty((max(8, 2 * slot), self.dim, self.dim), complex)
+            grown[:slot] = self._stack
+            self._stack = grown
+        self._stack[slot] = p.matrix
+        self._items.append(p)
+        return slot
 
     def matrices(self, slots) -> np.ndarray:
         return self._stack[list(slots)]
@@ -108,34 +105,25 @@ class LogicalAssignment(ProjectorIndex):
     """0/1 values on canonicalized projectors, with provenance tags.
 
     It is the index of its stored projectors; slot i holds the i-th value
-    and provenance, so values are stored with ``setdefault``, not ``extend``.
+    and provenance, and ``append`` stores a projector only with both.
     The identity and zero projectors implicitly hold the constants 1 and
     0 (ac2); they are never stored.  Treat instances as immutable once
     returned by a module function.
     """
 
     def __init__(self, dim: int) -> None:
-        super().__init__()
-        self._dim = dim
+        super().__init__(dim)
         self._values: list[int] = []
         self._provenance: list[str] = []
-
-    @property
-    def dim(self) -> int:
-        return self._dim
 
     def value_of(self, p: Projector) -> int | None:
         """Stored or constant value of ``p``, or None if unknown.
 
         A projector of another dimension raises DimensionMismatch.
         """
-        if p.dim != self._dim:
-            raise DimensionMismatch(
-                f"projector dim {p.dim} differs from assignment dim {self._dim}"
-            )
+        slot = self.find(p)
         if p.rank in (0, p.dim):
             return int(p.rank == p.dim)
-        slot = self.find(p)
         return self._values[slot] if slot is not None else None
 
     def setdefault(self, p: Projector, value: int, provenance: str) -> int:
@@ -147,14 +135,18 @@ class LogicalAssignment(ProjectorIndex):
             raise ValueError(f"a logical value is 0 or 1, got {value!r}")
         existing = self.value_of(p)
         if existing is None:
-            self._store(p, value, provenance)
+            self.append(p, value, provenance)
         return int(value) if existing is None else existing
 
-    def _store(self, p: Projector, value: int, provenance: str) -> None:
-        """Append a projector that has no stored match."""
-        self.extend((p,))
+    def append(self, p: Projector, value: int, provenance: str) -> int:
+        """Store ``p``, which has no stored match, with its 0/1 ``value``
+        (ValueError otherwise) and provenance, and return its slot."""
+        if value not in (0, 1):
+            raise ValueError(f"a logical value is 0 or 1, got {value!r}")
+        slot = super().append(p)
         self._values.append(int(value))
         self._provenance.append(provenance)
+        return slot
 
     def entries(self) -> list[tuple[Projector, int, str]]:
         return [
@@ -163,7 +155,7 @@ class LogicalAssignment(ProjectorIndex):
         ]
 
     def copy(self) -> "LogicalAssignment":
-        out = LogicalAssignment(self._dim)
+        out = LogicalAssignment(self.dim)
         out._items = list(self._items)
         out._stack = self._stack.copy()
         out._values = list(self._values)
@@ -317,7 +309,7 @@ class _Batch:
         if slot < 0:
             slot = work.scan(self._mats[k], self._start, len(work))
         if slot is None:
-            work._store(self.projector(k), value, PROV_CLOSURE)
+            work.append(self.projector(k), value, PROV_CLOSURE)
             self._masks.append(mask)
             return value
         return work._values[slot]
@@ -510,8 +502,10 @@ def detect_paradox(scenario: Scenario, depth: int = 3) -> ParadoxVerdict:
     """Full pipeline: ABL table -> 0/1 rounding -> closure.
 
     Raises ImpossiblePostselection when every PVM of the scenario has
-    zero post-selection weight.
+    zero post-selection weight, and ValueError for a negative ``depth``.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     overlap = scenario.pre_post_overlap()
     table = abl_table(scenario)
     if all(w == 0.0 for w in table.postselection_weights.values()):

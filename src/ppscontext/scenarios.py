@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contextuality import ConstraintSystem, assemble_system
+from .contextuality import MAX_DIMENSION, ConstraintSystem, assemble_system
 from .errors import NotAScenario, ParseError, ToolError, UnknownBuiltin
 from .linalg import Projector, projector_from_vectors
 from .measurement import Pvm, Scenario
@@ -33,10 +33,6 @@ from .measurement import Pvm, Scenario
 THREE_BOX = "three-box"
 CLIFTON_RAYS = "clifton-rays"
 _FLOAT_MAX = sys.float_info.max
-# The tolerance arguments hold only below this dimension: the trace window
-# of `linalg._exclusions` ("any d up to 10^3") and the lead threshold
-# of `ray_label` ("d < 10^3").  It also bounds a state's d x d matrix.
-MAX_DIMENSION = 1000
 
 
 def three_box() -> Scenario:

@@ -33,11 +33,11 @@ def reference_exclusions(nodes):
 
 
 def reference_has_duplicates(nodes):
-    index = ProjectorIndex()
+    index = ProjectorIndex(nodes[0].dim)
     for p in nodes:
         if index.find(p) is not None:
             return True
-        index.extend((p,))
+        index.append(p)
     return False
 
 
@@ -111,10 +111,10 @@ def test_assembly_matches_reference_on_mixed_ranks(seed, dim, picks):
         cols = bases[b][:, sorted(columns)]
         nodes.append(Projector.from_matrix(cols @ cols.conj().T))
     assert_same_assembly(nodes)
-    unique = ProjectorIndex()
+    unique = ProjectorIndex(dim)
     for p in nodes:
         if unique.find(p) is None:
-            unique.extend((p,))
+            unique.append(p)
     assert_same_assembly([unique.projector(i) for i in range(len(unique))])
 
 
@@ -165,5 +165,5 @@ def test_assembly_makes_no_pairwise_calls(monkeypatch):
     assert calls == {"is_orthogonal": 0, "find": 0, "scan": 0, "_first_close": len(NODE_LISTS)}
     # The counters do count: one call of each, the find scanning once.
     linalg.is_orthogonal(nodes[0], nodes[1])
-    ProjectorIndex().find(nodes[0])
+    ProjectorIndex(nodes[0].dim).find(nodes[0])
     assert calls == {"is_orthogonal": 1, "find": 1, "scan": 1, "_first_close": len(NODE_LISTS)}

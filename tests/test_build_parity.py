@@ -65,11 +65,11 @@ def reference_split(scenario, p):
 def reference_add(index, p):
     """Slot of the first stored match of ``p``, storing ``p`` on a miss."""
     slot = index.find(p)
-    return index.extend((p,))[0] if slot is None else slot
+    return index.append(p) if slot is None else slot
 
 
 def reference_system(scenario, certain, pins=()):
-    index = ProjectorIndex()
+    index = ProjectorIndex(scenario.dim)
     add = functools.partial(reference_add, index)
     fixed = [(add(scenario.pre), 1), (add(scenario.post), 1)]
     fixed += [(add(p), value) for p, value in pins]

@@ -78,8 +78,9 @@ def test_projectors_close(scale, ok):
 
 @pytest.mark.parametrize("scale, ok", SCALES)
 def test_index_find_and_find_many(scale, ok):
-    index = ProjectorIndex()
-    index.extend([basis(3, [1]), basis(3, [0, 2])])
+    index = ProjectorIndex(3)
+    index.append(basis(3, [1]))
+    index.append(basis(3, [0, 2]))
     query = tilted(3, [0, 2], 2, 1, scale)
     assert index.find(query) == (1 if ok else None)
     assert index.find_many(query.matrix[None], 2).tolist() == [1 if ok else -1]

@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from ppscontext import contextuality, scenarios
 from ppscontext.contextuality import (
     ConstraintSystem,
     _search_plan,
@@ -23,6 +24,7 @@ from ppscontext.errors import (
     DimensionMismatch,
     NonorthogonalityRequired,
     NotAParadox,
+    NotAProjector,
     PreconditionViolated,
 )
 from ppscontext.generate import paradox_corpus, rng_for
@@ -94,6 +96,39 @@ def test_split_complement_of_identity(box3):
 def test_split_complement_requires_certainty(box3):
     with pytest.raises(PreconditionViolated):
         split_complement(box3, projector_from_vectors([[0, 0, 1]]))
+
+
+def _one_pvm_scenario(pre, post, outcome):
+    p = outcome.complement()
+    return Scenario(outcome.dim, pre, post, (Pvm("E", (p, outcome)),)), p
+
+
+def test_split_complement_refuses_a_near_degenerate_meet():
+    # I - p = |w><w| lies 1e-5 from I - pre, inside the meet's eigenvalue
+    # window, so r is a tilted ray and q = (I - p) - r is no projector.
+    delta = 1e-5
+    scenario, p = _one_pvm_scenario(
+        projector_from_vectors([[1, 0, 0]]),
+        projector_from_vectors([[1, -delta, 0]]),
+        projector_from_vectors([[delta, 1, 0]]),
+    )
+    with pytest.raises(NotAProjector, match="^matrix is not idempotent within 1e-09$"):
+        split_complement(scenario, p)
+
+
+def test_split_complement_refuses_q_not_orthogonal_to_post():
+    # I - p = |u><u| leans 1e-3 towards pre = |e0>, too far for the meet, so
+    # r = 0 and q = |u><u|.  With post along w + c u, w orthogonal to u,
+    # post (I - p) pre ~ 1e-3 c passes the certainty check within EPS_ORTH
+    # while post q ~ c does not.
+    u, w, c = np.array([1e-3, 1, 0]), np.array([1, -1e-3, 0]), 1e-7
+    scenario, p = _one_pvm_scenario(
+        projector_from_vectors([[1, 0, 0]]),
+        projector_from_vectors([w + c * u]),
+        projector_from_vectors([u]),
+    )
+    with pytest.raises(PreconditionViolated, match="^decomposition failed: post q != 0$"):
+        split_complement(scenario, p)
 
 
 def test_split_complement_postconditions_on_corpus():
@@ -353,6 +388,25 @@ def test_assemble_system_rejects_mixed_dimensions():
     q2 = projector_from_vectors([[0, 1]])
     with pytest.raises(DimensionMismatch):
         assemble_system([q3, q3.complement(), q2], (), ((0, 1, 2),))
+
+
+
+def test_proof_build_refuses_dimensions_at_the_bound(box3, monkeypatch):
+    # The exclusion trace window and ray_label's lead threshold hold only
+    # below MAX_DIMENSION, which once guarded scenario files alone.
+    assert scenarios.MAX_DIMENSION is contextuality.MAX_DIMENSION
+    verdict = detect_paradox(box3)
+    nodes = [projector_from_vectors([row]) for row in np.eye(3)]
+    monkeypatch.setattr(contextuality, "MAX_DIMENSION", 4)
+    assert len(assemble_system(nodes, (), ((0, 1, 2),)).nodes) == 3
+    assert len(build_constraint_system(box3, verdict).nodes) == 8
+    monkeypatch.setattr(contextuality, "MAX_DIMENSION", 3)
+    with pytest.raises(PreconditionViolated, match="dimension 3 is not below the limit 3"):
+        assemble_system(nodes, (), ((0, 1, 2),))
+    with pytest.raises(PreconditionViolated, match="dimension 3 is not below the limit 3"):
+        build_constraint_system(box3, verdict)
+    with pytest.raises(PreconditionViolated, match="dimension 3 is not below the limit 3"):
+        verify_forced_value(box3, box3.measurements[0], 0)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from ppscontext.errors import (
     ZeroProbabilityOutcome,
 )
 from ppscontext.generate import conjugate_scenario, random_scenario, random_unitary, rng_for, swap_selections
-from ppscontext.linalg import EPS_PROJ, Operator, max_abs, projector_from_vectors
+from ppscontext.linalg import EPS_PROJ, Operator, max_abs, projector_from_vectors, zero_projector
 from ppscontext.measurement import (
     EPS_PROB,
     MAX_SAMPLES,
@@ -330,6 +330,39 @@ def test_simulate_no_accepted_runs():
     with pytest.raises(NoAcceptedRuns):
         simulate_frequencies(scenario, scenario.measurements[0], 1000, seed=0)
 
+
+
+def test_simulate_no_survivor_of_preselection(box3):
+    # Philox is deterministic: seed 0 fails the single run at the rank-1
+    # pre-selection, which passes a third of the runs from I/3.
+    with pytest.raises(NoAcceptedRuns, match="^pre-selection never succeeded$"):
+        simulate_frequencies(box3, box3.measurements[0], 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda box: Pvm("", box.measurements[0].elements), ValueError,
+         "^a PVM needs a nonempty name$"),
+        (lambda box: Pvm("M", (basis_proj(3, 0), basis_proj(2, 1))), DimensionMismatch,
+         "^PVM 'M' mixes dimensions 3 and 2$"),
+        (lambda box: Scenario(3, zero_projector(3), box.post, box.measurements), ValueError,
+         "^pre-selection projector must have rank >= 1$"),
+        (lambda box: Scenario(3, box.pre, zero_projector(3), box.measurements), ValueError,
+         "^post-selection projector must have rank >= 1$"),
+        (lambda box: Scenario(3, box.pre, box.post, (basis_pvm("Z", 2),)), DimensionMismatch,
+         "^PVM 'Z' has dim 2, scenario has 3$"),
+        (lambda box: luders_update(Operator(np.eye(3) / 3), basis_proj(2, 0)),
+         DimensionMismatch, "^state and projector dimensions differ$"),
+        (lambda box: simulate_frequencies(box, basis_pvm("Z", 2), 10, seed=0),
+         DimensionMismatch, "^PVM dimension does not match scenario$"),
+    ],
+    ids=["empty-name", "mixed-dimensions", "rank-0-pre", "rank-0-post",
+         "pvm-of-another-dimension", "luders-dimensions", "simulate-dimensions"],
+)
+def test_model_checks_name_the_broken_invariant(box3, build, error, message):
+    with pytest.raises(error, match=message):
+        build(box3)
 
 @settings(max_examples=5)
 @given(seeds)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ppscontext import linalg, paradox
 from ppscontext.errors import DimensionMismatch, ImpossiblePostselection
-from ppscontext.generate import conjugate_scenario, random_unitary, rng_for
+from ppscontext.generate import conjugate_scenario, random_scenario, random_unitary, rng_for
 from ppscontext.linalg import (
     EPS_PROJ,
     Projector,
@@ -46,13 +46,13 @@ def basis_proj(dim, i):
 def store(index, p):
     """Slot of the first stored match of ``p``, storing ``p`` on a miss."""
     slot = index.find(p)
-    return index.extend((p,))[0] if slot is None else slot
+    return index.append(p) if slot is None else slot
 
 
 def test_fingerprint_identifies_nearby_projectors():
     p = projector_from_vectors([[1, 1, 0]])
     wiggled = Projector.from_matrix(p.matrix + 7.5e-15)
-    index = ProjectorIndex()
+    index = ProjectorIndex(3)
     assert store(index, p) == store(index, wiggled)
 
 
@@ -61,7 +61,7 @@ def test_projector_index_tolerance_fallback():
     # still collide
     p = projector_from_vectors([[1, 2, 3]])
     perturbed = Projector.from_matrix(p.matrix + 4.9e-13)
-    index = ProjectorIndex()
+    index = ProjectorIndex(3)
     assert store(index, p) == store(index, perturbed)
 
 
@@ -74,7 +74,7 @@ def tilted_ray(angle):
 
 def test_projector_index_separates_projectors_beyond_tolerance():
     p, shifted = tilted_ray(0.0), tilted_ray(3 * EPS_PROJ)
-    index = ProjectorIndex()
+    index = ProjectorIndex(3)
     assert store(index, p) == 0
     assert store(index, shifted) == 1
     assert index.find(shifted) == 1
@@ -84,7 +84,7 @@ def test_projector_index_separates_projectors_beyond_tolerance():
 def test_projector_index_find_returns_first_match():
     # p and far are 1.6 EPS_PROJ apart; mid lies within EPS_PROJ of both
     p, mid, far = (tilted_ray(t * EPS_PROJ) for t in (0.0, 0.8, 1.6))
-    index = ProjectorIndex()
+    index = ProjectorIndex(3)
     assert store(index, p) == 0
     assert store(index, far) == 1
     assert index.find(mid) == 0
@@ -103,8 +103,9 @@ def first_close(index, matrix, lo, hi):
 def test_find_many_matches_the_scalar_first_match_rule():
     # p and far are 1.6 EPS_PROJ apart; mid lies within EPS_PROJ of both
     p, mid, far = (tilted_ray(t * EPS_PROJ) for t in (0.0, 0.8, 1.6))
-    index = ProjectorIndex()
-    index.extend([basis_proj(3, 1), p, basis_proj(3, 2), far, p.complement()])
+    index = ProjectorIndex(3)
+    for q in (basis_proj(3, 1), p, basis_proj(3, 2), far, p.complement()):
+        index.append(q)
     queries = np.stack([q.matrix for q in (mid, far, basis_proj(3, 2), p.complement())]
                        + [tilted_ray(0.3).matrix, projector_from_vectors([[0, 1, 1]]).matrix])
     for hi in (5, 4, 3, 1, 0):
@@ -128,8 +129,9 @@ def test_find_many_separates_equal_diagonals(monkeypatch):
     # one-row chunks exercise the chunked comparison
     monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 1)
     rays = [projector_from_vectors([v]) for v in ([1, 1, 0], [1, -1, 0], [1, 1j, 0], [1, -1j, 0])]
-    index = ProjectorIndex()
-    index.extend([*rays[:3], rays[0]])
+    index = ProjectorIndex(3)
+    for ray in (*rays[:3], rays[0]):
+        index.append(ray)
     queries = np.stack([ray.matrix for ray in rays])
     for hi in (4, 3, 1):
         expected = [first_close(index, m, 0, hi) for m in queries]
@@ -196,12 +198,12 @@ def test_logical_assignment_looks_each_element_up_once(box3, monkeypatch):
 
 
 def test_projector_index_rejects_mixed_dimensions():
-    index = ProjectorIndex()
-    index.extend([basis_proj(3, 0)])
+    index = ProjectorIndex(3)
+    assert index.append(basis_proj(3, 0)) == 0
     with pytest.raises(DimensionMismatch):
         index.find(basis_proj(2, 0))
     with pytest.raises(DimensionMismatch):
-        index.extend([basis_proj(2, 0)])
+        index.append(basis_proj(2, 0))
     assert len(index) == 1
 
 
@@ -218,27 +220,47 @@ def assert_index_holds(index, stored):
 def test_projector_index_store_of_another_dimension_leaves_it_unchanged(count):
     # 8 slots fill the first allocation, so the next store must grow it.
     stored = [projector_from_vectors([[1, k, k * k]]) for k in range(count)]
-    index = ProjectorIndex()
-    for p in stored:
-        index.extend((p,))
+    index = ProjectorIndex(3)
+    assert [index.append(p) for p in stored] == list(range(count))
     with pytest.raises(DimensionMismatch):
-        index.extend((basis_proj(2, 0),))
-    with pytest.raises(DimensionMismatch):
-        index.extend([basis_proj(3, 0), basis_proj(2, 0)])
+        index.append(basis_proj(2, 0))
     assert_index_holds(index, stored)
-    assert index.extend([]) == range(count, count)
     extra = [projector_from_vectors([[k, 1, 0]]) for k in range(count)]
-    assert index.extend(extra) == range(count, 2 * count)
+    assert [index.append(p) for p in extra] == list(range(count, 2 * count))
     assert_index_holds(index, stored + extra)
 
 
-def test_projector_index_extend_into_an_empty_index_checks_its_own_dims():
-    index = ProjectorIndex()
+def test_empty_projector_index_checks_its_constructed_dimension():
+    # The dimension comes from construction, not from the first store.
+    index = ProjectorIndex(3)
+    assert index.dim == 3
     with pytest.raises(DimensionMismatch):
-        index.extend([basis_proj(2, 0), basis_proj(3, 0)])
+        index.find(basis_proj(2, 0))
+    with pytest.raises(DimensionMismatch):
+        index.append(basis_proj(2, 0))
     assert len(index) == 0
-    assert index.extend([basis_proj(2, 1)]) == range(1)
-    assert index.find(basis_proj(2, 1)) == 0
+    assert index.find(basis_proj(3, 1)) is None
+    assert index.append(basis_proj(3, 1)) == 0
+    assert index.find(basis_proj(3, 1)) == 0
+
+
+def test_assignment_slots_always_hold_a_value():
+    # A bare ProjectorIndex store once left a slot without a value, and
+    # value_of then raised IndexError.
+    a = LogicalAssignment(3)
+    p, q = basis_proj(3, 0), basis_proj(3, 1)
+    with pytest.raises(TypeError):
+        a.append(p)
+    with pytest.raises(ValueError, match="0 or 1"):
+        a.append(p, 2, PROV_ABL)
+    assert len(a) == len(a.entries()) == 0
+    assert a.value_of(p) is None
+    assert a.append(p, 1, PROV_ABL) == 0
+    assert a.setdefault(q, 0, PROV_CLOSURE) == 0
+    assert a.setdefault(p, 0, PROV_ABL) == 1
+    assert len(a) == len(a.entries()) == 2
+    assert a.entries() == [(p, 1, PROV_ABL), (q, 0, PROV_CLOSURE)]
+    assert len(a.copy()) == len(a.copy().entries()) == 2
 
 
 def test_assignment_constants():
@@ -447,6 +469,16 @@ def test_closure_rejects_negative_depth(box3):
     with pytest.raises(ValueError, match="depth"):
         detect_paradox(box3, depth=-1)
 
+
+
+@pytest.mark.parametrize("logical", [False, True])
+def test_detect_rejects_negative_depth_whatever_the_table(logical):
+    # Only the closure checked the depth, so a table that was not logical
+    # returned a verdict for depth -1.
+    scenario = three_box() if logical else random_scenario(3, rng_for(0), n_pvms=2)
+    assert detect_paradox(scenario).is_logical is logical
+    with pytest.raises(ValueError, match=r"depth must be >= 0, got -1"):
+        detect_paradox(scenario, depth=-1)
 
 @given(seeds)
 def test_detect_is_unitary_invariant(seed):

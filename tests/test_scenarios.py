@@ -219,3 +219,44 @@ def test_dimension_just_below_the_limit_reaches_the_states():
            "measurements": []}
     with pytest.raises(ParseError, match=r"^pre\.vector: expected 999 components, got 0$"):
         document_to_scenario(doc)
+
+
+def _with_measurement(doc, **fields):
+    return {**doc, "measurements": [{**doc["measurements"][0], **fields}]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: {**d, "pre": {"vector": 5}},
+         r"^pre\.vector: expected a list of \[re, im\] pairs$"),
+        (lambda d: {**d, "post": [[1, 0], [1, 0]]},
+         r"^post: expected an object with one of 'vector', 'span', 'projector'$"),
+        (lambda d: {**d, "pre": {"span": []}},
+         r"^pre\.span: expected a nonempty list of vectors$"),
+        (lambda d: {**d, "pre": {"projector": [[[1, 0], [0, 0]]]}},
+         r"^pre\.projector: expected a 2x2 matrix$"),
+        (lambda d: [d], r"^document root must be an object$"),
+        (lambda d: {**d, "measurements": []}, r"^measurements: expected a nonempty list$"),
+        (lambda d: {**d, "measurements": ["E"]}, r"^measurements\[0\]: expected an object$"),
+        (lambda d: _with_measurement(d, name=7),
+         r"^measurements\[0\]\.name: expected a nonempty string$"),
+        (lambda d: _with_measurement(d, outcomes=[_vector([1, 0])]),
+         r"^measurements\[0\]\.outcomes: expected a list of >= 2 state specs$"),
+        (lambda d: {**d, "measurements": d["measurements"] * 2},
+         r"^measurement names must be unique within a scenario$"),
+    ],
+    ids=["vector-not-a-list", "state-not-an-object", "empty-span", "projector-not-d-by-d",
+         "root-not-an-object", "no-measurements", "measurement-not-an-object",
+         "name-not-a-string", "one-outcome", "duplicate-names"],
+)
+def test_parse_error_names_each_malformed_field(edit, message):
+    doc = {
+        "dimension": 2,
+        "pre": _vector([1, 0]),
+        "post": _vector([1, 1]),
+        "measurements": [{"name": "E", "outcomes": [_vector([1, 0]), _vector([0, 1])]}],
+    }
+    document_to_scenario(doc)
+    with pytest.raises(ParseError, match=message):
+        document_to_scenario(json.loads(json.dumps(edit(doc))))

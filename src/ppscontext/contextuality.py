@@ -89,6 +89,8 @@ def _split_complements(scenario: Scenario, ps) -> list[Decomposition]:
             )
         if r_errors[k] is not None or q_errors[k] is not None:
             raise NotAProjector(r_errors[k] or q_errors[k])
+        # A guard on the numerics of r that no known input reaches: a meet
+        # ray tilted out of ran p makes q fail check_projectors first.
         if not pre_r[k]:
             raise PreconditionViolated("decomposition failed: pre r != 0")
         if not post_q[k]:

@@ -81,6 +81,8 @@ def planted_paradox(
     with certainty, yet P1 P2 = 0: a logical paradox by construction.
     """
     r1, r2 = ranks
+    if min(ranks) < 1:
+        raise ValueError(f"ranks must be at least 1, got {ranks}")
     if r1 + r2 >= dim:
         raise ValueError("ranks must leave room for the complement")
     identity = np.eye(dim)

@@ -67,7 +67,8 @@ class ProjectorIndex:
         return self.scan(p.matrix, 0, len(self._items))
 
     def scan(self, matrix: np.ndarray, lo: int, hi: int) -> int | None:
-        """First slot in [lo, hi) within EPS_PROJ of ``matrix``, or None."""
+        """First stored slot in [lo, hi) within EPS_PROJ of ``matrix``, or None."""
+        hi = min(hi, len(self._items))
         if hi <= lo:
             return None
         close = _close(self._stack[lo:hi], matrix)
@@ -280,16 +281,15 @@ def logical_assignment(
 class _Batch:
     """Derived matrices, validated and looked up as one stack.
 
-    ``setdefault(k, value, mask)`` does what ``LogicalAssignment.setdefault``
-    would do for matrix k at the time of the call, and gives a new slot the
-    generator set ``mask`` in ``masks``: a hit among the slots stored when
-    the batch was formed is the first match, and on a miss only the slots
-    stored since are scanned.  A matrix that failed validation raises its
-    NotAProjector only when it is reached.
+    ``setdefault(k, value)`` does what ``LogicalAssignment.setdefault``
+    would do for matrix k at the time of the call: a hit among the slots
+    stored when the batch was formed is the first match, and on a miss only
+    the slots stored since are scanned.  A matrix that failed validation
+    raises its NotAProjector only when it is reached.
     """
 
-    def __init__(self, work: LogicalAssignment, mats: np.ndarray, masks: list[int]) -> None:
-        self._work, self._mats, self._masks, self._start = work, mats, masks, len(work)
+    def __init__(self, work: LogicalAssignment, mats: np.ndarray) -> None:
+        self._work, self._mats, self._start = work, mats, len(work)
         self._ranks, self._errors = check_projectors(mats)
         self._slots = work.find_many(mats, self._start)
 
@@ -301,7 +301,7 @@ class _Batch:
         self.validate(k)
         return Projector._checked(self._mats[k], self._ranks[k])
 
-    def setdefault(self, k: int, value: int, mask: int) -> int:
+    def setdefault(self, k: int, value: int) -> int:
         self.validate(k)
         work, rank, slot = self._work, self._ranks[k], int(self._slots[k])
         if rank in (0, work.dim):
@@ -310,75 +310,17 @@ class _Batch:
             slot = work.scan(self._mats[k], self._start, len(work))
         if slot is None:
             work.append(self.projector(k), value, PROV_CLOSURE)
-            self._masks.append(mask)
             return value
         return work._values[slot]
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class _Generators:
-    """Generator sets of a closure run's entries, and which generator pairs
-    are known to clash (not commute).
-
-    ``masks[s]`` is a bitmask over the run's input entries, which are slots
-    0 .. inputs - 1 and generator k is slot k.  A generator pair is tested
-    with ``commutes`` the first time a row needs it, and only then.
-    """
-
-    def __init__(self, inputs: int) -> None:
-        self.inputs = inputs
-        self.masks = [1 << k for k in range(inputs)]
-        self._known = list(self.masks)
-        self._clash = [0] * inputs
-
-    def partners(self, work: LogicalAssignment, i: int, later: range) -> tuple[list[int], set[int]]:
-        """The slots in ``later`` that commute with slot ``i``, in order, and
-        those of them whose commutation was inferred from the generators."""
-        masks, mi = self.masks, self.masks[i]
-        need = 0
-        for j in later:
-            need |= masks[j]
-        clash = 0
-        for a in _bits(mi):
-            for b in _bits(need & ~self._known[a]):
-                self._known[a] |= 1 << b
-                self._known[b] |= 1 << a
-                if not commutes(work.projector(a), work.projector(b)):
-                    self._clash[a] |= 1 << b
-                    self._clash[b] |= 1 << a
-            clash |= self._clash[a]
-        # One-generator entries, P_a or I - P_a and P_b or I - P_b, commute
-        # iff P_a and P_b do; a pair of input entries is its generator test.
-        single = not mi & (mi - 1)
-        p = work.projector(i)
-        partners, inferred = [], set()
-        for j in later:
-            mj = masks[j]
-            if not clash & mj:
-                partners.append(j)
-                if i >= self.inputs or j >= self.inputs:
-                    inferred.add(j)
-            elif single and not mj & (mj - 1):
-                continue
-            elif commutes(p, work.projector(j)):
-                partners.append(j)
-        return partners, inferred
-
-
-def _complements(work: LogicalAssignment, masks: list[int], slots) -> Violation | None:
+def _complements(work: LogicalAssignment, slots) -> Violation | None:
     """ac1 for the entries in ``slots``, in order."""
-    batch = _Batch(work, np.eye(work.dim) - work.matrices(slots), masks)
+    batch = _Batch(work, np.eye(work.dim) - work.matrices(slots))
     for k, slot in enumerate(slots):
         vp = work._values[slot]
         derived = 1 - vp
-        existing = batch.setdefault(k, derived, masks[slot])
+        existing = batch.setdefault(k, derived)
         if existing != derived:
             return Violation(
                 ("ac1",), (work.projector(slot), batch.projector(k)),
@@ -388,28 +330,32 @@ def _complements(work: LogicalAssignment, masks: list[int], slots) -> Violation 
     return None
 
 
-def _products_and_joins(
-    work: LogicalAssignment, masks: list[int], i: int, partners, inferred: set[int]
-) -> Violation | None:
-    """ac3 and ac4 for entry ``i`` with each commuting partner, in order; a
-    violation citing a partner in ``inferred`` is confirmed with ``commutes``
-    first, and PreconditionViolated is raised if that test fails."""
+def _products_and_joins(work: LogicalAssignment, i: int, later: range) -> Violation | None:
+    """ac3 and ac4 for entry ``i`` with each slot in ``later`` that commutes
+    with it (max |PQ - QP| <= EPS_ORTH, one stacked test), in order; a
+    violation's pair is confirmed with ``commutes`` first, and
+    PreconditionViolated is raised if that test fails."""
     p, vp = work.projector(i), work._values[i]
-    qs = work.matrices(partners)
+    qs = work.matrices(later)
     products = p.matrix @ qs
-    batch = _Batch(work, np.concatenate([products, p.matrix + qs - products]), masks)
+    kept = np.abs(products - qs @ p.matrix).max(axis=(1, 2)) <= EPS_ORTH
+    if not kept.any():
+        return None
+    partners = (later.start + np.flatnonzero(kept)).tolist()
+    qs, products = qs[kept], products[kept]
+    batch = _Batch(work, np.concatenate([products, p.matrix + qs - products]))
     for k, slot in enumerate(partners):
-        vq, join, mask = work._values[slot], len(partners) + k, masks[i] | masks[slot]
-        vpq = batch.setdefault(k, vp * vq, mask)
+        vq, join = work._values[slot], len(partners) + k
+        vpq = batch.setdefault(k, vp * vq)
         derived = vp + vq - vpq
-        existing = batch.setdefault(join, derived, mask) if derived in (0, 1) else None
+        existing = batch.setdefault(join, derived) if derived in (0, 1) else None
         if existing == derived:
             continue
         q = work.projector(slot)
-        if slot in inferred and not commutes(p, q):
+        if not commutes(p, q):
             raise PreconditionViolated(
-                f"a violation cites two entries whose generators commute within "
-                f"EPS_ORTH = {EPS_ORTH:g} but which do not commute themselves"
+                f"a violation cites two entries that commute within EPS_ORTH = "
+                f"{EPS_ORTH:g} in the stacked test but not in commutes()"
             )
         cited = (p, q, batch.projector(k), batch.projector(join))
         values = (float(vp), float(vq), float(vpq))
@@ -448,49 +394,33 @@ def closure_extend(
     commuting partners are validated and looked up as one stack
     (``_Batch``), with the same first matches as one lookup each.
 
-    Commutation is decided from generators.  Every stored entry is built
-    from the input entries by complements, products and joins; its
-    generator set is its own bit for an input entry, the set of the entry
-    it complements for a complement, the union of its operands' sets for a
-    newly stored product or join, and on a hit the set of the slot matched.
-    The matrices that commute with a fixed set form an algebra, closed
-    under products, sums and I - P; so if no generator of P clashes with
-    (fails to commute with) a generator of Q, P lies in the commutant of
-    Q's generators, Q in the commutant of P, and the two commute.  A pair
-    is therefore decided without a matrix product when no generator pair
-    clashes (it commutes) or when both entries have one generator each,
-    P_a or I - P_a and P_b or I - P_b, and a and b clash (it does not);
-    every other pair is tested with ``commutes``.  A generator pair is
-    tested the first time a row needs it, so each is tested at most once.
-
-    The inference is exact in exact arithmetic.  Numerically, generators
-    that commute within EPS_ORTH but not exactly can build entries that do
-    not: such a pair is paired here and not by a pairwise test, and a
-    one-generator pair whose generators just clash is skipped here though
-    its own commutator may fall within EPS_ORTH.  A returned violation never
-    rests on an untested pair: one that cites an inferred commuting pair is
-    confirmed with ``commutes`` first, and if the test fails the closure
-    raises PreconditionViolated instead, since that violation would not
-    pass ``recheck_violation``.
+    Two entries are paired when they commute, max |PQ - QP| <= EPS_ORTH,
+    the ``commutes`` rule.  A row tests its candidates as one stack per
+    ``_chunks`` piece, and keeps the products it needs anyway for the
+    pairs that pass.  A stacked product can round differently from the one
+    in ``commutes`` in the last bits, so a pair whose commutator lies
+    within rounding of EPS_ORTH may be decided differently.  A returned
+    violation never rests on such a pair: its pair is confirmed with
+    ``commutes`` first, and if the test fails the closure raises
+    PreconditionViolated instead, since that violation would not pass
+    ``recheck_violation``.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     work = assignment.copy()
-    gens = _Generators(len(work))
     complemented = paired = 0
     row = 2 * work.dim**2  # a batch row's entries in its two (len, d, d) stacks
     for _ in range(depth):
         stored = len(work)
         fresh = range(complemented, stored)
         for piece in _chunks(len(fresh), row):
-            if (violation := _complements(work, gens.masks, fresh[piece])) is not None:
+            if (violation := _complements(work, fresh[piece])) is not None:
                 return violation
         complemented, n = stored, len(work)
         for i in range(n):
-            partners, inferred = gens.partners(work, i, range(max(i + 1, paired), n))
-            for piece in _chunks(len(partners), row):
-                violation = _products_and_joins(work, gens.masks, i, partners[piece], inferred)
-                if violation is not None:
+            later = range(max(i + 1, paired), n)
+            for piece in _chunks(len(later), row):
+                if (violation := _products_and_joins(work, i, later[piece])) is not None:
                     return violation
         paired = n
         if len(work) == stored:

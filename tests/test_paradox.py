@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ppscontext import linalg, paradox
+from ppscontext import generate, linalg, paradox
 from ppscontext.errors import DimensionMismatch, ImpossiblePostselection
-from ppscontext.generate import conjugate_scenario, random_scenario, random_unitary, rng_for
+from ppscontext.generate import (
+    conjugate_scenario,
+    planted_paradox,
+    random_scenario,
+    random_unitary,
+    rng_for,
+)
 from ppscontext.linalg import (
     EPS_PROJ,
     Projector,
@@ -122,6 +128,16 @@ def test_find_many_matches_the_scalar_first_match_rule():
     assert list(index.find_many(queries, 8)) == [1, 3, 2, 4, -1, -1]
     with pytest.raises(DimensionMismatch):
         index.find_many(np.zeros((1, 2, 2)), 5)
+
+
+def test_scan_reads_only_stored_slots():
+    # A capacity row holding a matching matrix models stale memory: a scan
+    # whose bound runs past the one stored slot must not return it.
+    index = ProjectorIndex(3)
+    index.append(basis_proj(3, 0))
+    index._stack[1] = basis_proj(3, 1).matrix
+    assert index.scan(basis_proj(3, 1).matrix, 0, 8) is None
+    assert index.scan(basis_proj(3, 0).matrix, 0, 8) == 0
 
 
 def test_find_many_separates_equal_diagonals(monkeypatch):
@@ -509,3 +525,15 @@ def test_setdefault_rejects_values_other_than_0_and_1(value):
     assert a.setdefault(basis_proj(3, 0), True, PROV_ABL) == 1
     with pytest.raises(ValueError, match="0 or 1"):
         a.setdefault(basis_proj(3, 0), value, PROV_ABL)
+
+
+@pytest.mark.parametrize("ranks", [(0, 1), (-1, 2)])
+def test_planted_paradox_rejects_ranks_below_one(monkeypatch, ranks):
+    # A block of rank below 1 never overlaps the pre-selection, so the
+    # draw loop would run forever; the check comes before the first draw.
+    def no_draw(*args):
+        raise AssertionError("planted_paradox drew a basis")
+
+    monkeypatch.setattr(generate, "random_unitary", no_draw)
+    with pytest.raises(ValueError, match=r"ranks must be at least 1"):
+        planted_paradox(4, rng_for(0), ranks=ranks)

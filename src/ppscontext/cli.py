@@ -132,10 +132,9 @@ def _certificate_part(system: ConstraintSystem, cert: Certificate) -> Part:
         lines.append(f"witness: {' '.join(assigned)}")
     else:
         lines.append("trace:")
-        for step in cert.trace:
+        for node, value, reason in cert.trace:
             lines.append(
-                f'  "{system.labels[step.node]}" := {step.value}'
-                f"   [{_reason_text(system, step.reason)}]"
+                f'  "{system.labels[node]}" := {value}   [{_reason_text(system, reason)}]'
             )
         conflict = _reason_text(system, cert.conflict)
         lines.append(f"  contradiction: {conflict}")

@@ -314,27 +314,19 @@ def build_constraint_system(
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One forced assignment: node, value, and the citing constraint."""
-
-    node: int
-    value: int
-    reason: tuple
-
-
-@dataclass(frozen=True)
 class Certificate:
     """Result of the exhaustive search.
 
     SAT carries a full witness (value per node).  UNSAT carries the
-    propagation log of the final failed branch, ending in ``conflict``,
-    the constraint contradicted by previously forced values.
+    search's trail of the final failed branch, one ``(node, value, reason)``
+    tuple per assignment in order, ending in ``conflict``, the constraint
+    contradicted by previously forced values.
     ``search_nodes`` counts explored branches (root plus decisions).
     """
 
     status: str
     witness: tuple[int, ...] | None
-    trace: tuple[TraceStep, ...]
+    trace: tuple[tuple[int, int, tuple], ...]
     conflict: tuple | None
     search_nodes: int
 
@@ -454,8 +446,7 @@ def solve(system: ConstraintSystem) -> Certificate:
             value = 0
         else:
             # The last failed branch: its decisions, propagation and conflict.
-            trace = tuple(TraceStep(*step) for step in log)
-            return Certificate("UNSAT", None, trace, conflict, branches)
+            return Certificate("UNSAT", None, tuple(log), conflict, branches)
         branches += 1
         conflict = propagate([(node, value, ("decision", node))])
 
@@ -529,7 +520,6 @@ __all__ = [
     "ray_label",
     "assemble_system",
     "build_constraint_system",
-    "TraceStep",
     "Certificate",
     "solve",
     "check_assignment",

@@ -7,6 +7,7 @@ is a pure function, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -155,7 +156,10 @@ def projector_from_vectors(vs: Iterable) -> Projector:
             raise DimensionMismatch("vector must have at least one component")
         if not np.all(np.isfinite(v)):
             raise ValueError("vector components must be finite")
-        if np.linalg.norm(v) <= EPS_PROJ:
+        # The norm is at least each |Re v_a| and |Im v_a|, so it is taken,
+        # free of overflow, only when all of them are at most EPS_PROJ.
+        small = np.abs(v.real).max() <= EPS_PROJ and np.abs(v.imag).max() <= EPS_PROJ
+        if small and np.linalg.norm(v) <= EPS_PROJ:
             raise ZeroVector("vector norm is numerically zero")
         columns.append(v)
     if not columns:
@@ -168,8 +172,13 @@ def projector_from_vectors(vs: Iterable) -> Projector:
 
 
 def _span_projector(a: np.ndarray) -> Projector:
-    """Projector onto the column space of ``a``, cut at EPS_RANK s_max."""
+    """Projector onto the column space of ``a``, cut at EPS_RANK s_max.
+    If s_max overflows, ``a`` is scaled by the exact power of two that
+    brings its largest real or imaginary component into [0.5, 1)."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
+    if not math.isfinite(s[0]):
+        _, exp = np.frexp(max(max_abs(a.real), max_abs(a.imag)))
+        u, s, _ = np.linalg.svd(a * 2.0 ** -int(exp), full_matrices=False)
     basis = u[:, : int(np.count_nonzero(s > EPS_RANK * s[0]))]
     return Projector.from_matrix(basis @ basis.conj().T)
 

@@ -93,7 +93,7 @@ class ProjectorIndex:
         return slot
 
     def matrices(self, slots) -> np.ndarray:
-        return self._stack[list(slots)]
+        return self._stack[: len(self._items)][list(slots)]
 
     def projector(self, slot: int) -> Projector:
         return self._items[slot]
@@ -187,9 +187,20 @@ class Violation:
     description: str
 
 
+#: Cited operand and value counts of each kind of violation.
+_ARITY = {("ac1",): (2, 2), ("ac0", "ac4"): (4, 3), ("ac4",): (4, 4),
+          ("assignment-conflict",): (2, 2)}
+
+
 def recheck_violation(v: Violation) -> bool:
     """Re-evaluate a violation from its cited operands alone: it shares `_close`
-    with the closure but not its ac1/ac4 formulas, whose output it checks."""
+    with the closure but not its ac1/ac4 formulas, whose output it checks.
+    Another kind, counts that do not fit `_ARITY` or operands of different
+    dimensions are rejected."""
+    if _ARITY.get(v.conditions) != (len(v.projectors), len(v.values)):
+        return False
+    if len({p.dim for p in v.projectors}) > 1:
+        return False
     if v.conditions == ("ac1",):
         p, comp = v.projectors
         vp, existing = v.values
@@ -207,10 +218,8 @@ def recheck_violation(v: Violation) -> bool:
             return operands_ok and v.derived == vp + vq - vpq and v.derived != existing
         vp, vq, vpq = v.values
         return operands_ok and v.derived == vp + vq - vpq and not 0 <= v.derived <= 1
-    if v.conditions == ("assignment-conflict",):
-        first, second = v.values
-        return first != second
-    return False
+    first, second = v.values  # an assignment conflict
+    return first != second
 
 
 @dataclass(frozen=True, eq=False)

@@ -125,6 +125,24 @@ def test_non_finite_number_in_file_is_parse_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_abl_file_with_huge_finite_vectors(tmp_path, capsys):
+    # Huge vectors span the same rays as their scaled-down copies, with no
+    # overflow warning on stderr.
+    def scenario(pre, post):
+        return (
+            f'{{"dimension": 2, "pre": {{"vector": {pre}}}, "post": {{"vector": {post}}},'
+            ' "measurements": [{"name": "Z", "outcomes":'
+            ' [{"vector": [[1, 0], [0, 0]]}, {"vector": [[0, 0], [1, 0]]}]}]}'
+        )
+
+    huge, plain = tmp_path / "huge.json", tmp_path / "plain.json"
+    huge.write_text(scenario("[[1.7e308, 0], [1.7e308, 0]]", "[[1e200, 1e200], [1e200, 0]]"))
+    plain.write_text(scenario("[[1, 0], [1, 0]]", "[[1, 1], [1, 0]]"))
+    code, out, err = run(capsys, "abl", "--file", str(huge))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "abl", "--file", str(plain))[1]
+
+
 def test_non_utf8_file_is_parse_error(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe" + '{"dimension": 2}'.encode("utf-16-le"))
@@ -393,11 +411,11 @@ def test_unsat_trace_prints_decision_steps():
     system = ray_system(CEGA_18, 4)
     cert = solve(system)
     _, lines, pairs = _certificate_part(system, cert)
-    decisions = [step for step in cert.trace if step.reason[0] == "decision"]
+    decisions = [(node, value) for node, value, reason in cert.trace if reason[0] == "decision"]
     assert cert.status == "UNSAT" and len(decisions) == 10
     assert [line for line in lines if "[decision on " in line] == [
-        f'  "{system.labels[s.node]}" := {s.value}   [decision on "{system.labels[s.node]}"]'
-        for s in decisions
+        f'  "{system.labels[node]}" := {value}   [decision on "{system.labels[node]}"]'
+        for node, value in decisions
     ]
     assert lines[4] == '  "(0, 0, 0, 1)" := 0   [decision on "(0, 0, 0, 1)"]'
     assert not any(key.startswith("witness.") for key, _ in pairs)

@@ -61,7 +61,7 @@ def brute_force_status(system: ConstraintSystem) -> str:
 
 def replay_trace(system: ConstraintSystem, cert) -> bool:
     """The trace's terminal constraint must be violated by the forced values."""
-    values = {step.node: step.value for step in cert.trace}
+    values = {node: value for node, value, _ in cert.trace}
     kind = cert.conflict[0]
     if kind == "exclusion":
         _, a, b = cert.conflict
@@ -195,8 +195,18 @@ def test_solve_three_box_trace_ends_at_box_exclusion(box3):
     assert kind == "exclusion"
     assert {system.labels[a], system.labels[b]} == {"(1, 0, 0)", "(0, 1, 0)"}
     assert replay_trace(system, cert)
-    forced = {system.labels[s.node]: s.value for s in cert.trace}
+    forced = {system.labels[node]: value for node, value, _ in cert.trace}
     assert forced["(1, 0, 0)"] == 1 and forced["(0, 1, 0)"] == 1
+
+
+def test_unsat_trace_is_the_plain_trail(box3):
+    # Each entry is the search's own (node, value, reason) tuple.
+    cert = solve(build_constraint_system(box3, detect_paradox(box3)))
+    assert cert.status == "UNSAT" and cert.trace
+    for entry in cert.trace:
+        assert type(entry) is tuple and len(entry) == 3
+        node, value, reason = entry
+        assert type(node) is int and value in (0, 1) and type(reason) is tuple
 
 
 def test_solve_trivial_resolution_is_sat():

@@ -132,6 +132,21 @@ def test_projector_from_vectors_errors():
         projector_from_vectors([[1, 0], [0, 0, 0]])
 
 
+def test_spans_whose_largest_singular_value_overflows():
+    # s_max overflows to inf here; the span is taken of an exactly
+    # rescaled copy, with no overflow warning (warnings are errors).
+    huge = 1.7e308
+    p = projector_from_vectors([[huge, huge]])
+    assert p.rank == 1
+    assert max_abs(p.matrix - 0.5) <= EPS_PROJ
+    # [1, 0] stays below EPS_RANK s_max, as it does next to (1e300, 1e300).
+    assert projector_from_vectors([[huge, huge], [1, 0]]).rank == 1
+    assert projector_from_vectors([[1e300, 1e300], [1, 0]]).rank == 1
+    assert projector_from_vectors([[huge, huge], [huge, 0]]).rank == 2
+    assert projectors_close(range_projector([[huge, 0], [huge, 0]]), p)
+    assert projector_from_vectors([[1e200 + 1e200j, 1e200]]).rank == 1
+
+
 def test_is_orthogonal_basic():
     e1 = projector_from_vectors([[1, 0, 0]])
     e2 = projector_from_vectors([[0, 1, 0]])

@@ -140,6 +140,16 @@ def test_scan_reads_only_stored_slots():
     assert index.scan(basis_proj(3, 0).matrix, 0, 8) == 0
 
 
+def test_matrices_reads_only_stored_slots():
+    # As above: the stale capacity row 1 is not a stored slot.
+    index = ProjectorIndex(3)
+    index.append(basis_proj(3, 0))
+    index._stack[1] = basis_proj(3, 1).matrix
+    assert np.array_equal(index.matrices([0]), basis_proj(3, 0).matrix[None])
+    with pytest.raises(IndexError):
+        index.matrices([1])
+
+
 def test_find_many_separates_equal_diagonals(monkeypatch):
     # every ray below has diagonal (1/2, 1/2, 0), so all share one key;
     # one-row chunks exercise the chunked comparison
@@ -371,6 +381,30 @@ def test_recheck_violation_rejects_altered_violations(box3):
     assert recheck_violation(
         Violation(("assignment-conflict",), (p, p), (0.0, 1.0), 1.0, "conflict")
     )
+
+
+MALFORMED = {
+    "ac1-operands-short": lambda ac04, ac1, ac4: dataclasses.replace(
+        ac1, projectors=ac1.projectors[:1]),
+    "ac4-values-short": lambda ac04, ac1, ac4: dataclasses.replace(
+        ac4, values=ac4.values[:3]),
+    "ac0-ac4-values-long": lambda ac04, ac1, ac4: dataclasses.replace(
+        ac04, values=(*ac04.values, 0.0)),
+    "conflict-one-value": lambda ac04, ac1, ac4: Violation(
+        ("assignment-conflict",), ac1.projectors, (1.0,), 1.0, "one value"),
+    "ac1-dims-2-and-3": lambda ac04, ac1, ac4: dataclasses.replace(
+        ac1, projectors=(basis_proj(2, 0), ac1.projectors[1])),
+    "ac4-dims-2-and-3": lambda ac04, ac1, ac4: dataclasses.replace(
+        ac4, projectors=(basis_proj(2, 0), *ac4.projectors[1:])),
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED.values(), ids=MALFORMED.keys())
+def test_recheck_violation_rejects_malformed_violations(box3, malform):
+    ac04 = detect_paradox(box3).violations[0]
+    ac1 = closure_violation(([1.0, 0, 0], 1), ([0, 1.0, 1.0], 1))
+    ac4 = closure_violation(([1.0, 0, 0], 1), ([0, 1.0, 0], 0), ([1.0, 1.0, 0], 0))
+    assert recheck_violation(malform(ac04, ac1, ac4)) is False
 
 
 def test_closure_adds_complement():

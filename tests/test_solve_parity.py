@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from ppscontext.contextuality import (
     ConstraintSystem,
-    TraceStep,
     assemble_system,
     build_constraint_system,
     solve,
@@ -54,7 +53,7 @@ class _ReferenceSearch:
         current = values[node]
         if current is None:
             values[node] = value
-            log.append(TraceStep(node, value, reason))
+            log.append((node, value, reason))
             queue.append(node)
             return None
         return None if current == value else reason

@@ -108,9 +108,7 @@ def _reason_text(system: ConstraintSystem, reason: tuple) -> str:
         return "resolution " + " ".join(f'"{system.labels[m]}"' for m in members)
     if kind == "fixed":
         return f'fixed "{system.labels[reason[1]]}"'
-    if kind == "decision":
-        return f'decision on "{system.labels[reason[1]]}"'
-    return str(reason)
+    return f'decision on "{system.labels[reason[1]]}"'  # solve's fourth and last kind
 
 
 def _certificate_part(system: ConstraintSystem, cert: Certificate) -> Part:

@@ -16,7 +16,7 @@ for one certain outcome and with one element pinned, serves
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -118,6 +118,9 @@ class ConstraintSystem:
 
     These three kinds are the only constraints: that I - P equals the sum
     of its parts Q + R is already stated by the resolution {P, Q, R}.
+
+    Made or replaced, a system checks each entry's nodes, fixed values and
+    member count (ValueError), then stores its `_search_plan`.
     """
 
     nodes: tuple[Projector, ...]
@@ -125,6 +128,13 @@ class ConstraintSystem:
     fixed: tuple[tuple[int, int], ...]
     exclusions: tuple[tuple[int, int], ...]
     resolutions: tuple[tuple[int, ...], ...]
+    _plan: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.nodes)
+        _check_fixed(self.fixed, n)
+        plan = _search_plan(n, self.exclusions, self.resolutions, self.labels)
+        object.__setattr__(self, "_plan", plan)
 
 
 def ray_label(p: Projector) -> str | None:
@@ -364,22 +374,16 @@ def solve(system: ConstraintSystem) -> Certificate:
     nodes first, then descending exclusion degree with the label as
     tie-breaker), which makes the returned trace deterministic.
 
-    The per-node tables and the degree ranking come from a plan cached
-    on (node count, exclusions, resolutions, labels), the last 8 plans
-    kept; ``fixed`` and the projectors are not part of it, so solves of
-    one system with different pins share it.  The search keeps its
-    pending decisions on an explicit stack and undoes assignments from
-    the trail, so its depth is not bounded by Python's recursion limit.
-
-    Entries `assemble_system` would reject, as in a system made by
-    ``dataclasses.replace``, raise its ValueError: fixed entries on every
-    call, exclusion and resolution members when the plan is built.
+    The per-node tables and the degree ranking come from the plan the
+    system stored when it was made, cached on (node count, exclusions,
+    resolutions, labels), the last 8 plans kept; ``fixed`` and the
+    projectors are not part of it, so systems that differ only in their
+    pins share it.  The search keeps its pending decisions on an explicit
+    stack and undoes assignments from the trail, so its depth is not
+    bounded by Python's recursion limit.
     """
     n = len(system.nodes)
-    _check_fixed(system.fixed, n)
-    partners, holding, ranking = _search_plan(
-        n, system.exclusions, system.resolutions, system.labels
-    )
+    partners, holding, ranking = system._plan
     fixed_nodes = dict.fromkeys(node for node, _ in system.fixed)
     order = list(fixed_nodes) + [i for i in ranking if i not in fixed_nodes]
     values: list[int | None] = [None] * n
@@ -452,14 +456,9 @@ def solve(system: ConstraintSystem) -> Certificate:
 
 
 def check_assignment(system: ConstraintSystem, values) -> bool:
-    """True iff a full 0/1 assignment satisfies every constraint; a system
-    entry that `assemble_system` would reject raises its ValueError."""
-    n = len(system.nodes)
-    _check_fixed(system.fixed, n)
-    _check_members("exclusion", system.exclusions, n)
-    _check_members("resolution", system.resolutions, n)
+    """True iff a full 0/1 assignment satisfies every constraint."""
     values = tuple(values)
-    if len(values) != n or any(v not in (0, 1) for v in values):
+    if len(values) != len(system.nodes) or any(v not in (0, 1) for v in values):
         return False
     for node, value in system.fixed:
         if values[node] != value:

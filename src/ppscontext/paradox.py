@@ -49,8 +49,8 @@ class ProjectorIndex:
     The dimension is fixed at construction.  Two projectors share a slot
     when their entries agree within EPS_PROJ, the ``projectors_close``
     criterion; ``find`` returns the first stored match.  The matrices are
-    kept stacked so a lookup is one array comparison.  A projector of
-    another dimension raises DimensionMismatch.
+    kept stacked so a lookup is one array comparison over the stored
+    slots alone.  A projector of another dimension raises DimensionMismatch.
     """
 
     def __init__(self, dim: int) -> None:
@@ -62,22 +62,15 @@ class ProjectorIndex:
         if p.dim != self.dim:
             raise DimensionMismatch(f"projector dim {p.dim} differs from index dim {self.dim}")
 
-    def find(self, p: Projector) -> int | None:
+    def find(self, p: Projector, lo: int = 0) -> int | None:
+        """First stored slot from ``lo`` on within EPS_PROJ of ``p``, or None."""
         self._check_dim(p)
-        return self.scan(p.matrix, 0, len(self._items))
+        hits = np.flatnonzero(_close(self._stack[lo : len(self)], p.matrix))
+        return lo + int(hits[0]) if len(hits) else None
 
-    def scan(self, matrix: np.ndarray, lo: int, hi: int) -> int | None:
-        """First stored slot in [lo, hi) within EPS_PROJ of ``matrix``, or None."""
-        hi = min(hi, len(self._items))
-        if hi <= lo:
-            return None
-        close = _close(self._stack[lo:hi], matrix)
-        slot = int(np.argmax(close))
-        return lo + slot if close[slot] else None
-
-    def find_many(self, mats: np.ndarray, hi: int) -> np.ndarray:
-        """First slot below ``hi`` within EPS_PROJ of each matrix, or -1."""
-        return _first_close(self._stack[: min(hi, len(self._items))], mats)
+    def find_many(self, mats: np.ndarray) -> np.ndarray:
+        """First stored slot within EPS_PROJ of each matrix, or -1."""
+        return _first_close(self._stack[: len(self)], mats)
 
     def append(self, p: Projector) -> int:
         """Store ``p``, which has no stored match, in a new slot and return it."""
@@ -93,7 +86,7 @@ class ProjectorIndex:
         return slot
 
     def matrices(self, slots) -> np.ndarray:
-        return self._stack[: len(self._items)][list(slots)]
+        return self._stack[: len(self)][list(slots)]
 
     def projector(self, slot: int) -> Projector:
         return self._items[slot]
@@ -218,8 +211,9 @@ def recheck_violation(v: Violation) -> bool:
             return operands_ok and v.derived == vp + vq - vpq and v.derived != existing
         vp, vq, vpq = v.values
         return operands_ok and v.derived == vp + vq - vpq and not 0 <= v.derived <= 1
-    first, second = v.values  # an assignment conflict
-    return first != second
+    p, same = v.projectors  # an assignment conflict: one projector, two values
+    first, second = v.values
+    return bool(_close(p.matrix, same.matrix)) and first != second
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,14 +287,14 @@ class _Batch:
     ``setdefault(k, value)`` does what ``LogicalAssignment.setdefault``
     would do for matrix k at the time of the call: a hit among the slots
     stored when the batch was formed is the first match, and on a miss only
-    the slots stored since are scanned.  A matrix that failed validation
+    the slots stored since are looked up.  A matrix that failed validation
     raises its NotAProjector only when it is reached.
     """
 
     def __init__(self, work: LogicalAssignment, mats: np.ndarray) -> None:
         self._work, self._mats, self._start = work, mats, len(work)
         self._ranks, self._errors = check_projectors(mats)
-        self._slots = work.find_many(mats, self._start)
+        self._slots = work.find_many(mats)
 
     def validate(self, k: int) -> None:
         if self._errors[k] is not None:
@@ -316,10 +310,11 @@ class _Batch:
         if rank in (0, work.dim):
             return int(rank == work.dim)
         if slot < 0:
-            slot = work.scan(self._mats[k], self._start, len(work))
-        if slot is None:
-            work.append(self.projector(k), value, PROV_CLOSURE)
-            return value
+            p = self.projector(k)
+            slot = work.find(p, self._start)
+            if slot is None:
+                work.append(p, value, PROV_CLOSURE)
+                return value
         return work._values[slot]
 
 

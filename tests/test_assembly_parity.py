@@ -140,7 +140,7 @@ def test_orthogonality_threshold_matches_reference(scale, orthogonal):
 
 
 def test_assembly_makes_no_pairwise_calls(monkeypatch):
-    calls = {"is_orthogonal": 0, "find": 0, "scan": 0, "_first_close": 0}
+    calls = {"is_orthogonal": 0, "find": 0, "_first_close": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -153,8 +153,7 @@ def test_assembly_makes_no_pairwise_calls(monkeypatch):
         monkeypatch.setattr(
             module, "is_orthogonal", counted("is_orthogonal", is_orthogonal), raising=False
         )
-    for name in ("find", "scan"):
-        monkeypatch.setattr(ProjectorIndex, name, counted(name, getattr(ProjectorIndex, name)))
+    monkeypatch.setattr(ProjectorIndex, "find", counted("find", ProjectorIndex.find))
     monkeypatch.setattr(
         contextuality, "_first_close", counted("_first_close", contextuality._first_close)
     )
@@ -162,8 +161,8 @@ def test_assembly_makes_no_pairwise_calls(monkeypatch):
         system = assemble_system(nodes, (), ())
         assert system.exclusions
     # One stacked duplicate lookup per assembly, and no per-node calls.
-    assert calls == {"is_orthogonal": 0, "find": 0, "scan": 0, "_first_close": len(NODE_LISTS)}
-    # The counters do count: one call of each, the find scanning once.
+    assert calls == {"is_orthogonal": 0, "find": 0, "_first_close": len(NODE_LISTS)}
+    # The counters do count: one call of each.
     linalg.is_orthogonal(nodes[0], nodes[1])
     ProjectorIndex(nodes[0].dim).find(nodes[0])
-    assert calls == {"is_orthogonal": 1, "find": 1, "scan": 1, "_first_close": len(NODE_LISTS)}
+    assert calls == {"is_orthogonal": 1, "find": 1, "_first_close": len(NODE_LISTS)}

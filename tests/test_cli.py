@@ -351,6 +351,25 @@ def test_prove_on_non_paradox_errors(tmp_path, capsys):
     assert "error NotAParadox" in err
 
 
+def test_prove_on_near_certain_paradox_errors(tmp_path, capsys):
+    # detect reads a paradox within EPS_LOGIC; prove refuses its build.
+    from ppscontext.linalg import projector_from_vectors
+    from ppscontext.measurement import Scenario
+
+    box = three_box()
+    pre = projector_from_vectors([[1, 1, 1 + 1e-5]])
+    path = tmp_path / "near.json"
+    save_scenario(Scenario(3, pre, box.post, box.measurements), path)
+    assert run(capsys, "detect", "--file", str(path))[0] == 0
+    code, out, err = run(capsys, "prove", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error PreconditionViolated: post (I-p) pre has max entry 1.11e-06; "
+        "the outcome is not certain under the selections\n"
+    )
+
+
 def test_detect_computes_the_abl_table_once(monkeypatch, capsys):
     from ppscontext import cli, paradox
     from ppscontext.measurement import abl_table

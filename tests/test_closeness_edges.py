@@ -83,7 +83,7 @@ def test_index_find_and_find_many(scale, ok):
     index.append(basis(3, [0, 2]))
     query = tilted(3, [0, 2], 2, 1, scale)
     assert index.find(query) == (1 if ok else None)
-    assert index.find_many(query.matrix[None], 2).tolist() == [1 if ok else -1]
+    assert index.find_many(query.matrix[None]).tolist() == [1 if ok else -1]
 
 
 def near_identity_pair(scale):

@@ -458,21 +458,29 @@ def sat_eight_rays():
          "empty-resolution"],
 )
 def test_replaced_system_entries_are_checked(fixed, resolutions, entry):
+    # A system checks its entries when it is made, so no solve or
+    # check_assignment ever sees one assemble_system would reject.
     base = sat_eight_rays()
-    system = dataclasses.replace(
-        base, fixed=base.fixed + fixed, resolutions=base.resolutions + resolutions
-    )
     with pytest.raises(ValueError, match=re.escape(entry)):
-        solve(system)
-    with pytest.raises(ValueError, match=re.escape(entry)):
-        check_assignment(system, (0,) * len(system.nodes))
+        dataclasses.replace(
+            base, fixed=base.fixed + fixed, resolutions=base.resolutions + resolutions
+        )
 
 
 def test_replaced_system_exclusion_members_are_checked():
     base = sat_eight_rays()
-    system = dataclasses.replace(base, exclusions=base.exclusions + ((2, 8),))
     with pytest.raises(ValueError, match=re.escape("exclusion (2, 8) has a node outside")):
-        solve(system)
+        dataclasses.replace(base, exclusions=base.exclusions + ((2, 8),))
+
+
+def test_pinned_copies_share_one_plan():
+    system = eight_ray_system()
+    misses = _search_plan.cache_info().misses
+    for node in range(10):
+        pinned = dataclasses.replace(system, fixed=((node % len(system.nodes), node % 2),))
+        assert pinned._plan is system._plan
+        solve(pinned)
+    assert _search_plan.cache_info().misses == misses
 
 
 def test_assemble_system_accepts_in_range_entries():
@@ -646,4 +654,20 @@ def test_rounding_conflict_is_a_paradox_whose_build_is_refused(monkeypatch):
     # The build reads E3's certain outcome, I - P1, from the table, and
     # I - P1 is not certain under the real selections.
     with pytest.raises(PreconditionViolated, match=r"^post \(I-p\) pre has max entry 0\.111; "):
+        build_constraint_system(scenario, verdict)
+
+
+@pytest.mark.parametrize("tilt, entry", [(1e-4, "1.11e-05"), (1e-5, "1.11e-06"),
+                                         (1e-6, "1.11e-07")])
+def test_near_certain_paradox_build_is_refused_with_its_reason(tilt, entry):
+    # The ABL entries round to 0/1 within EPS_LOGIC, so detect finds the
+    # paradox, but post (I - p) pre exceeds EPS_ORTH: the outcome is certain
+    # only within the looser tolerance, and the build names that reason.
+    box = three_box()
+    scenario = dataclasses.replace(box, pre=projector_from_vectors([[1, 1, 1 + tilt]]))
+    verdict = detect_paradox(scenario)
+    assert verdict.is_paradox
+    with pytest.raises(PreconditionViolated, match=re.escape(
+        f"post (I-p) pre has max entry {entry}; the outcome is not certain under the selections"
+    )):
         build_constraint_system(scenario, verdict)

@@ -60,6 +60,13 @@ def test_projector_rejects_nonidempotent():
         Projector.from_matrix(np.array([[1.0, 0.5], [0.0, 0.0]]))
 
 
+def test_projector_rejects_a_spectrum_off_zero_and_one():
+    # Hermitian, and idempotent within EPS_PROJ, but its eigenvalue is 2e-9 off 1.
+    v = np.ones(4) / 2
+    with pytest.raises(NotAProjector, match=r"^spectrum is not contained in \{0, 1\}$"):
+        Projector((1 + 2e-9) * np.outer(v, v))
+
+
 @pytest.mark.parametrize("dim", [3, 8])
 def test_projector_is_one_frozen_operator(dim):
     rng = np.random.default_rng(dim)

@@ -98,46 +98,64 @@ def test_projector_index_find_returns_first_match():
     assert index.projector(0) is p
 
 
-def first_close(index, matrix, lo, hi):
-    """The scalar first-match rule over slots [lo, hi)."""
-    for slot in range(lo, hi):
+def first_close(index, matrix):
+    """The scalar first-match rule over the stored slots."""
+    for slot in range(len(index)):
         if max_abs(index.projector(slot).matrix - matrix) <= EPS_PROJ:
             return slot
     return -1
 
 
+def index_of(dim, projectors):
+    index = ProjectorIndex(dim)
+    for p in projectors:
+        index.append(p)
+    return index
+
+
 def test_find_many_matches_the_scalar_first_match_rule():
     # p and far are 1.6 EPS_PROJ apart; mid lies within EPS_PROJ of both
     p, mid, far = (tilted_ray(t * EPS_PROJ) for t in (0.0, 0.8, 1.6))
-    index = ProjectorIndex(3)
-    for q in (basis_proj(3, 1), p, basis_proj(3, 2), far, p.complement()):
-        index.append(q)
+    stored = (basis_proj(3, 1), p, basis_proj(3, 2), far, p.complement())
     queries = np.stack([q.matrix for q in (mid, far, basis_proj(3, 2), p.complement())]
                        + [tilted_ray(0.3).matrix, projector_from_vectors([[0, 1, 1]]).matrix])
-    for hi in (5, 4, 3, 1, 0):
-        expected = [first_close(index, m, 0, hi) for m in queries]
-        assert list(index.find_many(queries, hi)) == expected
-    assert list(index.find_many(queries, 5)) == [1, 3, 2, 4, -1, -1]
-    assert list(index.find_many(queries, 3)) == [1, -1, 2, -1, -1, -1]
+    # Each prefix of the store, as an index of its own, answers by the same rule.
+    for size in (5, 4, 3, 1, 0):
+        prefix = index_of(3, stored[:size])
+        expected = [first_close(prefix, m) for m in queries]
+        assert list(prefix.find_many(queries)) == expected
+    index = index_of(3, stored)
+    assert list(index.find_many(queries)) == [1, 3, 2, 4, -1, -1]
+    assert list(index_of(3, stored[:3]).find_many(queries)) == [1, -1, 2, -1, -1, -1]
     # The kernel numbers a window of stored matrices from its start.
     window = index.matrices(range(2, 5))
     assert list(paradox._first_close(window, queries)) == [1, 1, 0, 2, -1, -1]
-    assert index.find_many(queries[:0], 5).shape == (0,)
+    assert index.find_many(queries[:0]).shape == (0,)
     # Slots 5-7 are allocated but hold no projector: a zero matrix finds none.
-    assert list(index.find_many(np.zeros((1, 3, 3)), 8)) == [-1]
-    assert list(index.find_many(queries, 8)) == [1, 3, 2, 4, -1, -1]
+    assert list(index.find_many(np.zeros((1, 3, 3)))) == [-1]
     with pytest.raises(DimensionMismatch):
-        index.find_many(np.zeros((1, 2, 2)), 5)
+        index.find_many(np.zeros((1, 2, 2)))
 
 
-def test_scan_reads_only_stored_slots():
-    # A capacity row holding a matching matrix models stale memory: a scan
-    # whose bound runs past the one stored slot must not return it.
+def test_find_from_a_slot_returns_the_first_match_there():
+    p, mid, far = (tilted_ray(t * EPS_PROJ) for t in (0.0, 0.8, 1.6))
+    index = index_of(3, (p, basis_proj(3, 2), far))
+    assert [index.find(mid, lo) for lo in range(5)] == [0, 2, 2, None, None]
+    with pytest.raises(DimensionMismatch):
+        index.find(basis_proj(2, 0), 1)
+
+
+def test_lookups_read_only_stored_slots():
+    # A capacity row holding a matching matrix models stale memory: no
+    # lookup may return it, as it is not a stored slot.
     index = ProjectorIndex(3)
     index.append(basis_proj(3, 0))
     index._stack[1] = basis_proj(3, 1).matrix
-    assert index.scan(basis_proj(3, 1).matrix, 0, 8) is None
-    assert index.scan(basis_proj(3, 0).matrix, 0, 8) == 0
+    assert index.find(basis_proj(3, 1)) is None
+    assert index.find(basis_proj(3, 1), 1) is None
+    assert list(index.find_many(basis_proj(3, 1).matrix[None])) == [-1]
+    assert index.find(basis_proj(3, 0)) == 0
+    assert list(index.find_many(basis_proj(3, 0).matrix[None])) == [0]
 
 
 def test_matrices_reads_only_stored_slots():
@@ -155,14 +173,14 @@ def test_find_many_separates_equal_diagonals(monkeypatch):
     # one-row chunks exercise the chunked comparison
     monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 1)
     rays = [projector_from_vectors([v]) for v in ([1, 1, 0], [1, -1, 0], [1, 1j, 0], [1, -1j, 0])]
-    index = ProjectorIndex(3)
-    for ray in (*rays[:3], rays[0]):
-        index.append(ray)
+    stored = (*rays[:3], rays[0])
     queries = np.stack([ray.matrix for ray in rays])
-    for hi in (4, 3, 1):
-        expected = [first_close(index, m, 0, hi) for m in queries]
-        assert list(index.find_many(queries, hi)) == expected
-    assert list(index.find_many(queries, 4)) == [0, 1, 2, -1]
+    for size in (4, 3, 1):
+        prefix = index_of(3, stored[:size])
+        expected = [first_close(prefix, m) for m in queries]
+        assert list(prefix.find_many(queries)) == expected
+    index = index_of(3, stored)
+    assert list(index.find_many(queries)) == [0, 1, 2, -1]
     window = index.matrices(range(1, 4))
     assert list(paradox._first_close(window, queries)) == [2, 0, 1, -1]
 
@@ -376,6 +394,9 @@ def test_recheck_violation_rejects_altered_violations(box3):
         dataclasses.replace(ac4, conditions=("ac3",)),
         dataclasses.replace(ac04, conditions=("ac4", "ac0")),
         Violation(("assignment-conflict",), (p, p), (1.0, 1.0), 1.0, "no conflict"),
+        # two values, but on two different projectors: no conflict either
+        Violation(("assignment-conflict",), (basis_proj(2, 0), basis_proj(2, 1)),
+                  (0.0, 1.0), 1.0, ""),
     ]
     assert [recheck_violation(v) for v in altered] == [False] * len(altered)
     assert recheck_violation(
@@ -561,13 +582,17 @@ def test_setdefault_rejects_values_other_than_0_and_1(value):
         a.setdefault(basis_proj(3, 0), value, PROV_ABL)
 
 
-@pytest.mark.parametrize("ranks", [(0, 1), (-1, 2)])
-def test_planted_paradox_rejects_ranks_below_one(monkeypatch, ranks):
+@pytest.mark.parametrize("dim, ranks, message", [
+    (4, (0, 1), "ranks must be at least 1"),
+    (4, (-1, 2), "ranks must be at least 1"),
+    (3, (1, 2), "ranks must leave room for the complement"),
+])
+def test_planted_paradox_rejects_bad_ranks(monkeypatch, dim, ranks, message):
     # A block of rank below 1 never overlaps the pre-selection, so the
-    # draw loop would run forever; the check comes before the first draw.
+    # draw loop would run forever; the checks come before the first draw.
     def no_draw(*args):
         raise AssertionError("planted_paradox drew a basis")
 
     monkeypatch.setattr(generate, "random_unitary", no_draw)
-    with pytest.raises(ValueError, match=r"ranks must be at least 1"):
-        planted_paradox(4, rng_for(0), ranks=ranks)
+    with pytest.raises(ValueError, match=message):
+        planted_paradox(dim, rng_for(0), ranks=ranks)

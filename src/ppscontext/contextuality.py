@@ -59,29 +59,29 @@ def split_complement(scenario: Scenario, p: Projector) -> Decomposition:
     the complement of the pre-selection is r; the remainder q = (I-p) - r
     is then orthogonal to the post-selection.
     """
+    if p.dim != scenario.dim:
+        raise DimensionMismatch("projector dimension does not match scenario")
     return _split_complements(scenario, (p,))[0]
 
 
 def _split_complements(scenario: Scenario, ps) -> list[Decomposition]:
     """`split_complement` of each of ``ps``, computed as one stack.
 
-    The outcomes are checked in input order and the first failure raises
-    what `split_complement` raises for it alone, in its order: a wrong
-    dimension, then an uncertain outcome, then r or q failing
+    The outcomes, of the scenario's dimension, are checked in input order
+    and the first failure raises what `split_complement` raises for it
+    alone, in its order: an uncertain outcome, then r or q failing
     `check_projectors`, then pre r != 0, then post q != 0.
     """
-    ps = tuple(ps)
     dim = scenario.dim
-    same_dim = next((k for k, p in enumerate(ps) if p.dim != dim), len(ps))
     pre, post = scenario.pre.matrix, scenario.post.matrix
-    comps = np.eye(dim) - np.array([p.matrix for p in ps[:same_dim]]).reshape(-1, dim, dim)
+    comps = np.eye(dim) - np.array([p.matrix for p in ps]).reshape(-1, dim, dim)
     residuals = np.abs(post @ comps @ pre).max(axis=(1, 2))
     rs, r_ranks, r_errors = _meets(comps, (np.eye(dim) - pre)[None])
     qs = comps - rs
     q_ranks, q_errors = check_projectors(qs)
     pre_r = _orthogonal_to(pre, rs)
     post_q = _orthogonal_to(post, qs)
-    for k in range(same_dim):
+    for k in range(len(ps)):
         if residuals[k] > EPS_ORTH:
             raise PreconditionViolated(
                 f"post (I-p) pre has max entry {residuals[k]:.3g}; "
@@ -95,8 +95,6 @@ def _split_complements(scenario: Scenario, ps) -> list[Decomposition]:
             raise PreconditionViolated("decomposition failed: pre r != 0")
         if not post_q[k]:
             raise PreconditionViolated("decomposition failed: post q != 0")
-    if same_dim < len(ps):
-        raise DimensionMismatch("projector dimension does not match scenario")
     return [
         Decomposition(
             p=p,
@@ -119,8 +117,9 @@ class ConstraintSystem:
     These three kinds are the only constraints: that I - P equals the sum
     of its parts Q + R is already stated by the resolution {P, Q, R}.
 
-    Made or replaced, a system checks each entry's nodes, fixed values and
-    member count (ValueError), then stores its `_search_plan`.
+    Made or replaced, a system checks its label count, then each entry's
+    nodes, fixed values and member count (ValueError), then stores its
+    `_search_plan`.
     """
 
     nodes: tuple[Projector, ...]
@@ -132,6 +131,8 @@ class ConstraintSystem:
 
     def __post_init__(self) -> None:
         n = len(self.nodes)
+        if len(self.labels) != n:
+            raise ValueError(f"labels has {len(self.labels)} entries for {n} nodes")
         _check_fixed(self.fixed, n)
         plan = _search_plan(n, self.exclusions, self.resolutions, self.labels)
         object.__setattr__(self, "_plan", plan)

@@ -106,8 +106,8 @@ def planted_paradox(
             pre=projector_from_vectors([phi]),
             post=projector_from_vectors([psi]),
             measurements=(
-                Pvm("E1", (Projector.from_matrix(p1), Projector.from_matrix(identity - p1))),
-                Pvm("E2", (Projector.from_matrix(p2), Projector.from_matrix(identity - p2))),
+                Pvm("E1", (Projector(p1), Projector(identity - p1))),
+                Pvm("E2", (Projector(p2), Projector(identity - p2))),
             ),
         )
 
@@ -140,7 +140,7 @@ def conjugate_scenario(scenario: Scenario, unitary: np.ndarray) -> Scenario:
     """Conjugate every projector of a scenario by one unitary."""
 
     def rotate(p: Projector) -> Projector:
-        return Projector.from_matrix(unitary @ p.matrix @ unitary.conj().T)
+        return Projector(unitary @ p.matrix @ unitary.conj().T)
 
     return Scenario(
         dim=scenario.dim,

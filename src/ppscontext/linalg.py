@@ -113,10 +113,6 @@ class Projector(Operator):
         object.__setattr__(p, "rank", int(rank))
         return p
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "Projector":
-        return cls(matrix)
-
     def complement(self) -> "Projector":
         """I - P, not validated again: it has the hermitian and idempotent
         residuals of P and the spectrum 1 - lambda, so rank d - rank."""
@@ -124,11 +120,11 @@ class Projector(Operator):
 
 
 def identity_projector(dim: int) -> Projector:
-    return Projector.from_matrix(np.eye(dim))
+    return Projector(np.eye(dim))
 
 
 def zero_projector(dim: int) -> Projector:
-    return Projector.from_matrix(np.zeros((dim, dim)))
+    return Projector(np.zeros((dim, dim)))
 
 
 def _require_same_dim(p: Projector, q: Projector) -> None:
@@ -180,7 +176,7 @@ def _span_projector(a: np.ndarray) -> Projector:
         _, exp = np.frexp(max(max_abs(a.real), max_abs(a.imag)))
         u, s, _ = np.linalg.svd(a * 2.0 ** -int(exp), full_matrices=False)
     basis = u[:, : int(np.count_nonzero(s > EPS_RANK * s[0]))]
-    return Projector.from_matrix(basis @ basis.conj().T)
+    return Projector(basis @ basis.conj().T)
 
 
 def _orthogonal_to(p: np.ndarray, stack: np.ndarray) -> np.ndarray:

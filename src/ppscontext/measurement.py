@@ -137,10 +137,8 @@ def _abl_row(scenario: Scenario, pvm: Pvm) -> tuple[float, np.ndarray] | None:
     None when the denominator is zero relative to Tr(pre) Tr(post)."""
     pre = scenario.pre.matrix
     post = scenario.post.matrix
-    terms = np.empty(len(pvm.elements))
-    for k, e in enumerate(pvm.elements):
-        pk = e.matrix
-        terms[k] = max(float(np.trace(post @ pk @ pre @ pk).real), 0.0)
+    pks = np.array([e.matrix for e in pvm.elements])
+    terms = np.maximum(np.trace(post @ pks @ pre @ pks, axis1=1, axis2=2).real, 0.0)
     den = float(terms.sum())
     if den <= EPS_PROB * scenario.pre.rank * scenario.post.rank:
         return None
@@ -268,14 +266,12 @@ def simulate_frequencies(
     p_accept_pre = min(float(np.trace(pre).real) / d, 1.0)
     rho_pre = Operator(pre / np.trace(pre).real)
 
-    n_outcomes = len(pvm.elements)
-    born = np.empty(n_outcomes)
-    accept_post = np.zeros(n_outcomes)
-    for k, e in enumerate(pvm.elements):
-        born[k] = max(float(np.trace(e.matrix @ rho_pre.matrix).real), 0.0)
-        if born[k] > EPS_PROB:
-            rho_k = luders_update(rho_pre, e).matrix
-            accept_post[k] = min(max(float(np.trace(post @ rho_k).real), 0.0), 1.0)
+    pks = np.array([e.matrix for e in pvm.elements])
+    born = np.maximum(np.trace(pks @ rho_pre.matrix, axis1=1, axis2=2).real, 0.0)
+    accept_post = np.zeros(len(pvm))
+    for k in np.flatnonzero(born > EPS_PROB):
+        rho_k = luders_update(rho_pre, pvm.elements[k]).matrix
+        accept_post[k] = min(max(float(np.trace(post @ rho_k).real), 0.0), 1.0)
 
     survivors = int(rng.binomial(samples, p_accept_pre))
     if survivors == 0:
@@ -285,7 +281,7 @@ def simulate_frequencies(
     total = int(counts.sum())
     if total == 0:
         raise NoAcceptedRuns("post-selection never succeeded")
-    return {k: (float(counts[k] / total), int(counts[k])) for k in range(n_outcomes)}
+    return {k: (float(c / total), int(c)) for k, c in enumerate(counts)}
 
 
 __all__ = [

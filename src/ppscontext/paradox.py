@@ -115,9 +115,10 @@ class LogicalAssignment(ProjectorIndex):
 
         A projector of another dimension raises DimensionMismatch.
         """
-        slot = self.find(p)
+        self._check_dim(p)
         if p.rank in (0, p.dim):
             return int(p.rank == p.dim)
+        slot = self.find(p)
         return self._values[slot] if slot is not None else None
 
     def setdefault(self, p: Projector, value: int, provenance: str) -> int:
@@ -253,7 +254,8 @@ def logical_assignment(
     is farther than EPS_LOGIC from both 0 and 1.  PVMs with zero
     post-selection weight contribute no entries.  In the rare case where
     one projector receives 0 in one PVM and 1 in another, the conflict is
-    returned as a Violation rather than stored.
+    returned as a Violation, citing the stored match (the element itself
+    for an ac2 constant) and the element, rather than stored.
     """
     logical = {key: logical_value(p) for key, p in table.entries.items()}
     offending = [(*key, table.entries[key]) for key, v in logical.items() if v is None]
@@ -268,9 +270,11 @@ def logical_assignment(
                 continue
             existing = assignment.setdefault(element, rounded, PROV_ABL)
             if existing != rounded:
+                slot = assignment.find(element)
+                stored = element if slot is None else assignment.projector(slot)
                 return Violation(
                     conditions=("assignment-conflict",),
-                    projectors=(element, element),
+                    projectors=(stored, element),
                     values=(float(existing), float(rounded)),
                     derived=float(rounded),
                     description=(

@@ -138,7 +138,7 @@ def _state_projector(spec, dim: int, where: str) -> Projector:
             _complex_vector(row, dim, f"{where}.projector[{i}]")
             for i, row in enumerate(matrix)
         ]
-        return Projector.from_matrix(np.array(rows))
+        return Projector(np.array(rows))
     except ParseError:
         raise
     except ToolError as exc:

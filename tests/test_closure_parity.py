@@ -46,7 +46,7 @@ def pairwise_closure(assignment, depth=3):
     for _ in range(depth):
         added = False
         for p, vp, _tag in work.entries():
-            comp = Projector.from_matrix(identity - p.matrix)
+            comp = Projector(identity - p.matrix)
             derived = 1 - vp
             existing = work.value_of(comp)
             if existing is None:
@@ -69,13 +69,13 @@ def pairwise_closure(assignment, depth=3):
                 q, vq, _ = snapshot[j]
                 if not commutes(p, q):
                     continue
-                product = Projector.from_matrix(p.matrix @ q.matrix)
+                product = Projector(p.matrix @ q.matrix)
                 vpq = work.value_of(product)
                 if vpq is None:
                     vpq = vp * vq
                     work.setdefault(product, vpq, PROV_CLOSURE)
                     added = True
-                join = Projector.from_matrix(p.matrix + q.matrix - product.matrix)
+                join = Projector(p.matrix + q.matrix - product.matrix)
                 derived = vp + vq - vpq
                 if derived not in (0, 1):
                     return Violation(
@@ -130,7 +130,7 @@ def assert_parity(got, want):
 
 
 def basis_projector(dim, indices):
-    return Projector.from_matrix(np.diag([1.0 if i in indices else 0.0 for i in range(dim)]))
+    return Projector(np.diag([1.0 if i in indices else 0.0 for i in range(dim)]))
 
 
 def pigeonhole(n):

@@ -31,6 +31,7 @@ from ppscontext.generate import paradox_corpus, rng_for
 from ppscontext.linalg import (
     EPS_ORTH,
     EPS_PROJ,
+    Projector,
     identity_projector,
     max_abs,
     projector_from_vectors,
@@ -96,6 +97,11 @@ def test_split_complement_of_identity(box3):
 def test_split_complement_requires_certainty(box3):
     with pytest.raises(PreconditionViolated):
         split_complement(box3, projector_from_vectors([[0, 0, 1]]))
+
+
+def test_split_complement_refuses_another_dimension(box3):
+    with pytest.raises(DimensionMismatch, match="^projector dimension does not match scenario$"):
+        split_complement(box3, projector_from_vectors([[1, 0]]))
 
 
 def _one_pvm_scenario(pre, post, outcome):
@@ -467,6 +473,15 @@ def test_replaced_system_entries_are_checked(fixed, resolutions, entry):
         )
 
 
+@pytest.mark.parametrize("count", [3, 9], ids=["too-few", "too-many"])
+def test_replaced_system_label_count_is_checked(count):
+    # The search plan ranks the nodes by label, so each node needs one.
+    base = sat_eight_rays()
+    labels = (base.labels + ("x",))[:count]
+    with pytest.raises(ValueError, match=rf"^labels has {count} entries for 8 nodes$"):
+        dataclasses.replace(base, labels=labels)
+
+
 def test_replaced_system_exclusion_members_are_checked():
     base = sat_eight_rays()
     with pytest.raises(ValueError, match=re.escape("exclusion (2, 8) has a node outside")):
@@ -630,16 +645,15 @@ def test_labels_of_distinct_nodes_with_one_display_form_get_index_suffixes():
     assert system.labels == ("(1, 1, 0)", "(1, 1, 0) #1")
 
 
-def test_rounding_conflict_is_a_paradox_whose_build_is_refused(monkeypatch):
-    # E3 repeats E1's elements; the patched table gives P1 value 1 in E1
-    # and 0 in E3, so rounding stores a conflict, not an assignment.
+def conflict_verdict(monkeypatch, e3_elements):
+    """Three-box plus a PVM E3 of the given elements, with a patched table
+    that gives P1 value 1 in E1 and 0 in E3: rounding stores a conflict,
+    not an assignment."""
     from ppscontext import paradox
     from ppscontext.measurement import AblTable
-    from ppscontext.paradox import recheck_violation
 
     box = three_box()
-    e1 = box.measurements[0]
-    scenario = Scenario(3, box.pre, box.post, (*box.measurements, Pvm("E3", e1.elements)))
+    scenario = Scenario(3, box.pre, box.post, (*box.measurements, Pvm("E3", e3_elements)))
     entries = {("E1", 0): 1.0, ("E1", 1): 0.0, ("E2", 0): 1.0, ("E2", 1): 0.0,
                ("E3", 0): 0.0, ("E3", 1): 1.0}
     weights = dict.fromkeys(["E1", "E2", "E3"], 1.0)
@@ -647,6 +661,14 @@ def test_rounding_conflict_is_a_paradox_whose_build_is_refused(monkeypatch):
     monkeypatch.setattr(paradox, "abl_table", lambda _: table)
     verdict = detect_paradox(scenario)
     assert verdict.is_paradox and verdict.table is table
+    return scenario, verdict
+
+
+def test_rounding_conflict_is_a_paradox_whose_build_is_refused(monkeypatch):
+    # E3 repeats E1's elements.
+    from ppscontext.paradox import recheck_violation
+
+    scenario, verdict = conflict_verdict(monkeypatch, three_box().measurements[0].elements)
     (violation,) = verdict.violations
     assert violation.conditions == ("assignment-conflict",)
     assert recheck_violation(violation)
@@ -655,6 +677,28 @@ def test_rounding_conflict_is_a_paradox_whose_build_is_refused(monkeypatch):
     # I - P1 is not certain under the real selections.
     with pytest.raises(PreconditionViolated, match=r"^post \(I-p\) pre has max entry 0\.111; "):
         build_constraint_system(scenario, verdict)
+
+
+def test_assignment_conflict_cites_the_stored_and_the_incoming_element(monkeypatch):
+    # E3's elements are E1's, rotated by EPS_PROJ / 20 in the (e0, e2)
+    # plane: other objects and matrices, but within EPS_PROJ of E1's, so
+    # they fall in E1's slots.
+    from ppscontext.paradox import recheck_violation
+
+    c, s = np.cos(EPS_PROJ / 20), np.sin(EPS_PROJ / 20)
+    tilt = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    e1 = three_box().measurements[0].elements
+    e3 = tuple(Projector(tilt @ e.matrix @ tilt.T) for e in e1)
+    assert max(max_abs(a.matrix - b.matrix) for a, b in zip(e1, e3)) <= EPS_PROJ / 10
+    assert all(max_abs(a.matrix - b.matrix) > 0 for a, b in zip(e1, e3))
+    scenario, verdict = conflict_verdict(monkeypatch, e3)
+    (violation,) = verdict.violations
+    assert violation.conditions == ("assignment-conflict",)
+    stored, incoming = violation.projectors
+    assert stored is scenario.measurements[0].elements[0]
+    assert incoming is scenario.measurements[2].elements[0]
+    assert violation.values == (1.0, 0.0)
+    assert recheck_violation(violation)
 
 
 @pytest.mark.parametrize("tilt, entry", [(1e-4, "1.11e-05"), (1e-5, "1.11e-06"),

@@ -55,9 +55,9 @@ def test_operator_rejects_nonsquare_and_nonfinite():
 
 def test_projector_rejects_nonidempotent():
     with pytest.raises(NotAProjector):
-        Projector.from_matrix(np.array([[0.5, 0.0], [0.0, 1.0]]))
+        Projector(np.array([[0.5, 0.0], [0.0, 1.0]]))
     with pytest.raises(NotAProjector):
-        Projector.from_matrix(np.array([[1.0, 0.5], [0.0, 0.0]]))
+        Projector(np.array([[1.0, 0.5], [0.0, 0.0]]))
 
 
 def test_projector_rejects_a_spectrum_off_zero_and_one():
@@ -71,7 +71,7 @@ def test_projector_rejects_a_spectrum_off_zero_and_one():
 def test_projector_is_one_frozen_operator(dim):
     rng = np.random.default_rng(dim)
     m = random_projector(dim, rng).matrix
-    made = Projector.from_matrix(m)
+    made = Projector(m)
     checked = Projector._checked(m, made.rank)
     for p in (made, checked):
         assert isinstance(p, Operator) and not hasattr(p, "op")
@@ -82,9 +82,9 @@ def test_projector_is_one_frozen_operator(dim):
     assert projectors_close(range_projector(made), made)
     # Operator checks still come first: shape, then finiteness.
     with pytest.raises(DimensionMismatch):
-        Projector.from_matrix(np.zeros((2, 3)))
+        Projector(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        Projector.from_matrix(np.array([[np.nan, 0], [0, 1]]))
+        Projector(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_projector_from_basis_vector():
@@ -118,7 +118,7 @@ def test_projector_from_dependent_vectors_at_d64_matches_qr(rank, extra):
     q, _ = np.linalg.qr(z)
     p = projector_from_vectors(columns.T)
     assert p.rank == rank
-    assert projectors_close(p, Projector.from_matrix(q @ q.conj().T))
+    assert projectors_close(p, Projector(q @ q.conj().T))
 
 
 def test_projector_from_vectors_errors():
@@ -259,8 +259,8 @@ def test_meet_equals_product_for_commuting_pairs(seed, dim):
     basis, _ = np.linalg.qr(z)
     mask_p = rng.integers(0, 2, size=dim)
     mask_q = rng.integers(0, 2, size=dim)
-    p = Projector.from_matrix(basis @ np.diag(mask_p) @ basis.conj().T)
-    q = Projector.from_matrix(basis @ np.diag(mask_q) @ basis.conj().T)
+    p = Projector(basis @ np.diag(mask_p) @ basis.conj().T)
+    q = Projector(basis @ np.diag(mask_q) @ basis.conj().T)
     assert commutes(p, q)
     assert max_abs(meet(p, q).matrix - p.matrix @ q.matrix) <= EPS_PROJ
 
@@ -317,7 +317,7 @@ def test_check_projectors_matches_single_validation():
     assert [e is None for e in errors] == [True, False, False, True, False, True, True]
     for matrix, rank, error in zip(stack, ranks, errors):
         try:
-            expected = Projector.from_matrix(matrix)
+            expected = Projector(matrix)
         except NotAProjector as exc:
             assert error == str(exc)
         else:

@@ -57,7 +57,7 @@ def store(index, p):
 
 def test_fingerprint_identifies_nearby_projectors():
     p = projector_from_vectors([[1, 1, 0]])
-    wiggled = Projector.from_matrix(p.matrix + 7.5e-15)
+    wiggled = Projector(p.matrix + 7.5e-15)
     index = ProjectorIndex(3)
     assert store(index, p) == store(index, wiggled)
 
@@ -66,7 +66,7 @@ def test_projector_index_tolerance_fallback():
     # a perturbation below EPS_PROJ but straddling the rounding grid must
     # still collide
     p = projector_from_vectors([[1, 2, 3]])
-    perturbed = Projector.from_matrix(p.matrix + 4.9e-13)
+    perturbed = Projector(p.matrix + 4.9e-13)
     index = ProjectorIndex(3)
     assert store(index, p) == store(index, perturbed)
 
@@ -75,7 +75,7 @@ def tilted_ray(angle):
     # rank-1 projector whose off-diagonal entries sit about ``angle`` away
     # from those of basis_proj(3, 0)
     v = np.array([np.cos(angle), np.sin(angle), 0.0])
-    return Projector.from_matrix(np.outer(v, v))
+    return Projector(np.outer(v, v))
 
 
 def test_projector_index_separates_projectors_beyond_tolerance():
@@ -307,13 +307,24 @@ def test_assignment_slots_always_hold_a_value():
     assert len(a.copy()) == len(a.copy().entries()) == 2
 
 
-def test_assignment_constants():
+def test_assignment_constants(monkeypatch):
+    # ac2 decides I and 0 before any lookup.
+    calls = []
+    find = ProjectorIndex.find
+
+    def counted(self, p, lo=0):
+        calls.append(p)
+        return find(self, p, lo)
+
+    monkeypatch.setattr(ProjectorIndex, "find", counted)
     a = LogicalAssignment(3)
     from ppscontext.linalg import identity_projector, zero_projector
 
     assert a.value_of(identity_projector(3)) == 1
     assert a.value_of(zero_projector(3)) == 0
+    assert calls == []
     assert a.value_of(basis_proj(3, 0)) is None
+    assert len(calls) == 1
 
 
 def test_logical_assignment_three_box(box3):
@@ -347,6 +358,26 @@ def test_logical_assignment_single_context():
     assert assignment.value_of(e1.elements[1]) == 0
 
 
+def test_rounding_skips_a_pvm_with_zero_postselection_weight():
+    # A's denominator is eps^2 / 3, below EPS_PROB, so its weight is 0 and
+    # it has no entries; B's is eps^2, above it, with entries 1 and 0.
+    eps = np.sqrt(2e-9)
+    pre = basis_proj(4, 0)
+    post = projector_from_vectors([[eps, np.sqrt(1 - eps**2), 0, 0]])
+    omega = np.exp(2j * np.pi / 3)
+    fourier = [[omega ** (j * m) for m in range(3)] for j in range(3)]
+    a = Pvm("A", (*(projector_from_vectors([[f[0], 0, f[1], f[2]]]) for f in fourier),
+                  basis_proj(4, 1)))
+    b = Pvm("B", (pre, pre.complement()))
+    scenario = Scenario(4, pre, post, (a, b))
+    verdict = detect_paradox(scenario)
+    assert verdict.is_logical and not verdict.is_paradox
+    assert verdict.table.postselection_weights["A"] == 0.0
+    assert verdict.table.entries == {("B", 0): 1.0, ("B", 1): 0.0}
+    assert all(verdict.assignment.value_of(e) is None for e in a.elements)
+    assert len(verdict.assignment) == 2
+
+
 def test_closure_derives_three_box_violation():
     # two certain boxes: v(P1 + P2 - P1 P2) = 1 + 1 - 0 = 2
     a = LogicalAssignment(3)
@@ -367,7 +398,7 @@ def closure_violation(*entries):
     (diagonal, value) pairs, checked to recheck as genuine."""
     a = LogicalAssignment(3)
     for diagonal, value in entries:
-        a.setdefault(Projector.from_matrix(np.diag(diagonal)), value, PROV_ABL)
+        a.setdefault(Projector(np.diag(diagonal)), value, PROV_ABL)
     violation = closure_extend(a)
     assert isinstance(violation, Violation)
     assert recheck_violation(violation)
@@ -442,13 +473,13 @@ def test_closure_adds_complement():
 def test_closure_consistent_for_nested_projectors():
     # Q <= P commuting: v(PQ) = v(Q) = 1 is consistent with both rules
     a = LogicalAssignment(3)
-    p = Projector.from_matrix(np.diag([1.0, 1.0, 0.0]))
-    q = Projector.from_matrix(np.diag([1.0, 0.0, 0.0]))
+    p = Projector(np.diag([1.0, 1.0, 0.0]))
+    q = Projector(np.diag([1.0, 0.0, 0.0]))
     a.setdefault(p, 1, PROV_ABL)
     a.setdefault(q, 1, PROV_ABL)
     extended = closure_extend(a)
     assert isinstance(extended, LogicalAssignment)
-    assert extended.value_of(Projector.from_matrix(p.matrix @ q.matrix)) == 1
+    assert extended.value_of(Projector(p.matrix @ q.matrix)) == 1
 
 
 def test_closure_is_monotone():

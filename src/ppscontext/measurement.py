@@ -16,7 +16,7 @@ of samples, which may go up to MAX_SAMPLES.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,10 +40,12 @@ MAX_SAMPLES = 2**63 - 1
 @dataclass(frozen=True, eq=False)
 class Pvm:
     """Named projector-valued measure: mutually orthogonal projectors
-    summing to the identity, with at least two outcomes."""
+    summing to the identity, with at least two outcomes.  ``stack`` holds
+    the elements' matrices as one read-only (len, d, d) array."""
 
     name: str
     elements: tuple[Projector, ...]
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         elements = tuple(self.elements)
@@ -62,6 +64,8 @@ class Pvm:
                     f"PVM {self.name!r} mixes dimensions {dim} and {e.dim}"
                 )
         stack = np.stack([e.matrix for e in elements])
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
         for i in range(len(elements) - 1):
             later = np.flatnonzero(~_orthogonal_to(stack[i], stack[i + 1 :]))
             if len(later):
@@ -137,7 +141,7 @@ def _abl_row(scenario: Scenario, pvm: Pvm) -> tuple[float, np.ndarray] | None:
     None when the denominator is zero relative to Tr(pre) Tr(post)."""
     pre = scenario.pre.matrix
     post = scenario.post.matrix
-    pks = np.array([e.matrix for e in pvm.elements])
+    pks = pvm.stack
     terms = np.maximum(np.trace(post @ pks @ pre @ pks, axis1=1, axis2=2).real, 0.0)
     den = float(terms.sum())
     if den <= EPS_PROB * scenario.pre.rank * scenario.post.rank:
@@ -190,20 +194,29 @@ def luders_update(rho: Operator, p: Projector) -> Operator:
     unit trace within EPS_PROJ).  Raises ZeroProbabilityOutcome when the
     outcome probability Tr(p rho) is numerically zero.
     """
-    m = rho.matrix
     if rho.dim != p.dim:
         raise DimensionMismatch("state and projector dimensions differ")
+    _check_state(rho.matrix)
+    return Operator(_updated(rho.matrix, p.matrix))
+
+
+def _check_state(m: np.ndarray) -> None:
+    """Raise ValueError unless ``m`` is a density operator within EPS_PROJ."""
     if not _close(m, m.conj().T):
         raise ValueError("state is not hermitian")
     if abs(np.trace(m).real - 1.0) > EPS_PROJ:
         raise ValueError("state does not have unit trace")
     if float(np.linalg.eigvalsh(m).min()) < -EPS_PROJ:
         raise ValueError("state is not positive semidefinite")
-    prob = float(np.trace(p.matrix @ m).real)
+
+
+def _updated(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p m p / Tr(p m) for a checked state ``m``; ZeroProbabilityOutcome
+    when Tr(p m) is numerically zero."""
+    prob = float(np.trace(p @ m).real)
     if prob <= EPS_PROB:
         raise ZeroProbabilityOutcome(f"outcome probability {prob:g} is zero")
-    updated = p.matrix @ m @ p.matrix / prob
-    return Operator(updated)
+    return p @ m @ p / prob
 
 
 def _outcome_weights(born: np.ndarray) -> np.ndarray:
@@ -264,13 +277,13 @@ def simulate_frequencies(
     # of the I/d starting point; only the acceptance probability depends
     # on it.  A full-rank pre can have a trace a few ulps above d.
     p_accept_pre = min(float(np.trace(pre).real) / d, 1.0)
-    rho_pre = Operator(pre / np.trace(pre).real)
+    rho_pre = pre / np.trace(pre).real
+    _check_state(rho_pre)
 
-    pks = np.array([e.matrix for e in pvm.elements])
-    born = np.maximum(np.trace(pks @ rho_pre.matrix, axis1=1, axis2=2).real, 0.0)
+    born = np.maximum(np.trace(pvm.stack @ rho_pre, axis1=1, axis2=2).real, 0.0)
     accept_post = np.zeros(len(pvm))
     for k in np.flatnonzero(born > EPS_PROB):
-        rho_k = luders_update(rho_pre, pvm.elements[k]).matrix
+        rho_k = _updated(rho_pre, pvm.stack[k])
         accept_post[k] = min(max(float(np.trace(post @ rho_k).real), 0.0), 1.0)
 
     survivors = int(rng.binomial(samples, p_accept_pre))

@@ -286,39 +286,52 @@ def logical_assignment(
 
 
 class _Batch:
-    """Derived matrices, validated and looked up as one stack.
+    """Derived matrices, looked up as one stack, validated where they miss.
 
     ``setdefault(k, value)`` does what ``LogicalAssignment.setdefault``
     would do for matrix k at the time of the call: a hit among the slots
     stored when the batch was formed is the first match, and on a miss only
-    the slots stored since are looked up.  A matrix that failed validation
-    raises its NotAProjector only when it is reached.
+    the slots stored since are looked up.  Only the misses are validated,
+    as one stack, and a miss that failed validation raises its
+    NotAProjector only when it is reached.  A hit needs no rank: I and 0
+    are never stored, so only a miss can be an ac2 constant.  ``projector``
+    validates a hit when a violation cites it, so a violation never cites
+    an unvalidated matrix.
+
+    So a matrix that would fail validation but lies within EPS_PROJ of a
+    stored slot takes that slot's value, where ``Projector`` would raise
+    NotAProjector.  A valid matrix gets the value a validated one would:
+    within EPS_PROJ of a stored projector, it has that projector's rank.
     """
 
     def __init__(self, work: LogicalAssignment, mats: np.ndarray) -> None:
         self._work, self._mats, self._start = work, mats, len(work)
-        self._ranks, self._errors = check_projectors(mats)
         self._slots = work.find_many(mats)
-
-    def validate(self, k: int) -> None:
-        if self._errors[k] is not None:
-            raise NotAProjector(self._errors[k])
+        misses = np.flatnonzero(self._slots < 0)
+        self._checks: dict[int, tuple[int, str | None]] = {}
+        if len(misses):
+            ranks, errors = check_projectors(mats[misses])
+            self._checks = dict(zip(misses.tolist(), zip(ranks.tolist(), errors)))
 
     def projector(self, k: int) -> Projector:
-        self.validate(k)
-        return Projector._checked(self._mats[k], self._ranks[k])
+        if k not in self._checks:
+            return Projector(self._mats[k])
+        rank, error = self._checks[k]
+        if error is not None:
+            raise NotAProjector(error)
+        return Projector._checked(self._mats[k], rank)
 
     def setdefault(self, k: int, value: int) -> int:
-        self.validate(k)
-        work, rank, slot = self._work, self._ranks[k], int(self._slots[k])
-        if rank in (0, work.dim):
-            return int(rank == work.dim)
-        if slot < 0:
-            p = self.projector(k)
-            slot = work.find(p, self._start)
-            if slot is None:
-                work.append(p, value, PROV_CLOSURE)
-                return value
+        work, slot = self._work, int(self._slots[k])
+        if slot >= 0:
+            return work._values[slot]
+        p = self.projector(k)
+        if p.rank in (0, work.dim):
+            return int(p.rank == work.dim)
+        slot = work.find(p, self._start)
+        if slot is None:
+            work.append(p, value, PROV_CLOSURE)
+            return value
         return work._values[slot]
 
 
@@ -399,8 +412,9 @@ def closure_extend(
     first match once stored, and a skipped complement or pair would
     re-derive the same slots and values: it could neither store an entry
     nor raise a violation.  The products and joins of one entry with its
-    commuting partners are validated and looked up as one stack
-    (``_Batch``), with the same first matches as one lookup each.
+    commuting partners are looked up as one stack (``_Batch``), with the
+    same first matches as one lookup each, and only the matrices that match
+    no stored slot are validated, as one stack.
 
     Two entries are paired when they commute, max |PQ - QP| <= EPS_ORTH,
     the ``commutes`` rule.  A row tests its candidates as one stack per

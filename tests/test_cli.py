@@ -45,6 +45,8 @@ GOLDEN_REPORTS = [
      "three_box_detect_depth0.txt"),
     # pre |0>, post |+>, Y basis: both outcomes 1/2, so not logical
     (("detect", "--file", str(GOLDEN_DIR / "y_basis.json")), 2, "y_basis_detect.txt"),
+    (("simulate", "--builtin", "three-box", "--pvm", "E1", "--samples", "1000000",
+      "--seed", "42"), 0, "three_box_simulate.txt"),
 ]
 
 

@@ -433,3 +433,60 @@ def test_invalid_derived_matrix_raises_only_when_reached(monkeypatch, flagged):
     else:
         assert_parity(*outcomes)
         assert outcomes[0].conditions == ("ac0", "ac4")
+
+
+def test_invalid_derived_matrix_that_hits_a_stored_slot_takes_its_value(monkeypatch):
+    # Entries diag(1, 0, 0, 0) and diag(1, 1, 0, 0) both hold 1; their
+    # product is diag(1, 0, 0, 0) again, a hit on slot 0.  Made to fail
+    # validation after the store is built, that matrix is only looked up
+    # by the closure, which takes the slot's value, while the pairwise
+    # oracle builds a Projector from it and raises.
+    assignment = LogicalAssignment(4)
+    for indices in ({0}, {0, 1}):
+        assignment.setdefault(basis_projector(4, indices), 1, PROV_ABL)
+    want = closure_extend(assignment, 1)
+    flagged = np.diag([1.0, 0.0, 0.0, 0.0])
+    validate, seen = linalg.check_projectors, []
+
+    def check(stack):
+        ranks, errors = validate(stack)
+        for k, matrix in enumerate(stack):
+            if np.array_equal(matrix, flagged):
+                seen.append(k)
+                errors[k] = "flagged"
+        return ranks, errors
+
+    monkeypatch.setattr(linalg, "check_projectors", check)
+    monkeypatch.setattr(paradox, "check_projectors", check)
+    got = closure_extend(assignment, 1)
+    assert isinstance(got, LogicalAssignment)
+    assert_parity(got, want)
+    assert seen == []
+    with pytest.raises(NotAProjector, match="flagged"):
+        pairwise_closure(assignment, 1)
+
+
+def test_closure_validates_only_the_lookup_misses(monkeypatch):
+    # diagonal_family(6) is the benchmark's closure family at d = 6 without
+    # its seeded relabelling of the basis, which changes no lookup.
+    scenario = diagonal_family(6)
+    assignment = logical_assignment(abl_table(scenario), scenario)
+    rows, misses, validated = [], [], []
+    find_many, validate = paradox.ProjectorIndex.find_many, paradox.check_projectors
+
+    def counted_find_many(self, mats):
+        slots = find_many(self, mats)
+        rows.append(len(mats))
+        misses.append(int((slots < 0).sum()))
+        return slots
+
+    def counted_check(stack):
+        validated.append(len(stack))
+        return validate(stack)
+
+    monkeypatch.setattr(paradox.ProjectorIndex, "find_many", counted_find_many)
+    monkeypatch.setattr(paradox, "check_projectors", counted_check)
+    result = closure_extend(assignment, 3)
+    assert isinstance(result, LogicalAssignment)
+    assert sum(validated) == sum(misses) < sum(rows)
+    assert 0 not in validated

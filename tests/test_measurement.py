@@ -435,3 +435,25 @@ def test_general_rank_selections_match_sampler(seed):
         p = abl_probability(scenario, pvm, k)
         bound = 5 * np.sqrt(p * (1 - p) / accepted)
         assert abs(freqs[k][0] - p) <= bound + 1e-12
+
+
+def test_pvm_keeps_its_element_stack_read_only(box3):
+    for pvm in box3.measurements:
+        assert np.array_equal(pvm.stack, [e.matrix for e in pvm.elements])
+        assert not pvm.stack.flags.writeable
+
+
+def test_simulate_checks_the_preselected_state_once(monkeypatch, box3):
+    # Both outcomes of E1 have positive Born weight, so both are updated;
+    # the state they update is checked, with one eigvalsh, only once.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    freqs = simulate_frequencies(box3, box3.pvm("E1"), 1000, 0)
+    assert len(freqs) == 2
+    assert calls == [(3, 3)]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -119,7 +120,7 @@ class ConstraintSystem:
 
     Made or replaced, a system checks its label count, then each entry's
     nodes, fixed values and member count (ValueError), then stores its
-    `_search_plan`.
+    `_search_plan` and its resolutions' `_readers`.
     """
 
     nodes: tuple[Projector, ...]
@@ -128,6 +129,7 @@ class ConstraintSystem:
     exclusions: tuple[tuple[int, int], ...]
     resolutions: tuple[tuple[int, ...], ...]
     _plan: tuple = field(init=False, repr=False)
+    _readers: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.nodes)
@@ -136,6 +138,7 @@ class ConstraintSystem:
         _check_fixed(self.fixed, n)
         plan = _search_plan(n, self.exclusions, self.resolutions, self.labels)
         object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "_readers", _readers(self.resolutions))
 
 
 def ray_label(p: Projector) -> str | None:
@@ -179,9 +182,11 @@ def _make_labels(nodes: tuple[Projector, ...]) -> tuple[str, ...]:
 
 
 def _check_fixed(fixed, n: int) -> None:
-    """ValueError on a fixed entry whose node is outside [0, n) or whose
-    value is not 0 or 1."""
+    """ValueError on a fixed entry that is not a (node, value) pair, whose
+    node is outside [0, n) or whose value is not 0 or 1."""
     for entry in fixed:
+        if len(entry) != 2:
+            raise ValueError(f"fixed entry {entry!r} is not a (node, value) pair")
         node, value = entry
         if not 0 <= node < n or value not in (0, 1):
             raise ValueError(
@@ -348,23 +353,39 @@ def _search_plan(n, exclusions, resolutions, labels):
 
     Returns the exclusion partners of each node as (other, reason) pairs
     in exclusion order, the resolutions holding each node as (members,
-    reason) pairs in resolution order, and every node ranked by
+    index, reason) triples in resolution order, and every node ranked by
     descending exclusion degree, then label, then index.  A member
-    outside [0, n) raises ValueError.
+    outside [0, n), or an exclusion that is not a pair, raises ValueError.
     """
     _check_members("exclusion", exclusions, n)
     _check_members("resolution", resolutions, n)
     partners = [[] for _ in range(n)]
-    for a, b in exclusions:
+    for pair in exclusions:
+        if len(pair) != 2:
+            raise ValueError(f"exclusion {pair!r} is not a pair")
+        a, b = pair
         reason = ("exclusion", a, b)
         partners[a].append((b, reason))
         partners[b].append((a, reason))
     holding = [[] for _ in range(n)]
     for ri, members in enumerate(resolutions):
         for m in members:
-            holding[m].append((members, ("resolution", ri)))
+            holding[m].append((members, ri, ("resolution", ri)))
     ranking = sorted(range(n), key=lambda i: (-len(partners[i]), labels[i], i))
     return tuple(map(tuple, partners)), tuple(map(tuple, holding)), tuple(ranking)
+
+
+@lru_cache(maxsize=8)
+def _readers(resolutions):
+    """One callable per resolution that reads its members' values, in
+    member order, from a value list as one sequence.  A one-member
+    resolution reads a slice, as ``itemgetter(m)`` returns a bare value.
+    """
+    return tuple(
+        itemgetter(*members) if len(members) > 1
+        else itemgetter(slice(members[0], members[0] + 1))
+        for members in resolutions
+    )
 
 
 def solve(system: ConstraintSystem) -> Certificate:
@@ -379,12 +400,15 @@ def solve(system: ConstraintSystem) -> Certificate:
     system stored when it was made, cached on (node count, exclusions,
     resolutions, labels), the last 8 plans kept; ``fixed`` and the
     projectors are not part of it, so systems that differ only in their
-    pins share it.  The search keeps its pending decisions on an explicit
+    pins share it.  Each resolution's member values are read in one call
+    through the system's reader table, cached on the resolutions beside
+    the plan.  The search keeps its pending decisions on an explicit
     stack and undoes assignments from the trail, so its depth is not
     bounded by Python's recursion limit.
     """
     n = len(system.nodes)
     partners, holding, ranking = system._plan
+    readers = system._readers
     fixed_nodes = dict.fromkeys(node for node, _ in system.fixed)
     order = list(fixed_nodes) + [i for i in ranking if i not in fixed_nodes]
     values: list[int | None] = [None] * n
@@ -411,8 +435,8 @@ def solve(system: ConstraintSystem) -> Certificate:
                         queue.append(other)
                     elif current != 0:
                         return reason
-            for members, reason in holding[node]:
-                seen = [values[m] for m in members]
+            for members, ri, reason in holding[node]:
+                seen = readers[ri](values)
                 ones = seen.count(1)
                 if ones > 1:
                     return reason

@@ -76,7 +76,7 @@ def planted_paradox(
     Two orthogonal blocks P1, P2 of the given ranks are drawn from a
     random orthonormal basis; the pre-selection |phi> overlaps both, and
     the post-selection |psi> is chosen orthogonal to (I - P1)|phi> and
-    (I - P2)|phi| while keeping <psi|phi> nonzero.  Then measuring
+    (I - P2)|phi> while keeping <psi|phi> nonzero.  Then measuring
     {P1, I-P1} gives P1 with certainty and measuring {P2, I-P2} gives P2
     with certainty, yet P1 P2 = 0: a logical paradox by construction.
     """

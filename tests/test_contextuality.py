@@ -433,9 +433,11 @@ def test_proof_build_refuses_dimensions_at_the_bound(box3, monkeypatch):
         (((-1, 1),), (), "(-1, 1)"),
         ((), ((-2, -1),), "(-2, -1)"),
         ((), ((0, 1), ()), "resolution () has no members"),
+        (((1,),), (), "fixed entry (1,) is not a (node, value) pair"),
+        (((1, 1, 1),), (), "fixed entry (1, 1, 1) is not a (node, value) pair"),
     ],
     ids=["node-past-end", "value-two", "negative-node", "negative-resolution",
-         "empty-resolution"],
+         "empty-resolution", "fixed-single", "fixed-triple"],
 )
 def test_assemble_system_rejects_bad_indices_and_values(fixed, resolutions, entry):
     p = projector_from_vectors([[1, 0]])
@@ -459,9 +461,11 @@ def sat_eight_rays():
         (((99, 1),), (), "(99, 1)"),
         ((), ((0, 99),), "(0, 99)"),
         ((), ((),), "resolution () has no members"),
+        (((1,),), (), "fixed entry (1,) is not a (node, value) pair"),
+        (((1, 1, 1),), (), "fixed entry (1, 1, 1) is not a (node, value) pair"),
     ],
     ids=["value-two", "wraps-to-last", "wraps-to-first", "node-past-end", "resolution",
-         "empty-resolution"],
+         "empty-resolution", "fixed-single", "fixed-triple"],
 )
 def test_replaced_system_entries_are_checked(fixed, resolutions, entry):
     # A system checks its entries when it is made, so no solve or
@@ -482,10 +486,19 @@ def test_replaced_system_label_count_is_checked(count):
         dataclasses.replace(base, labels=labels)
 
 
-def test_replaced_system_exclusion_members_are_checked():
+@pytest.mark.parametrize(
+    "exclusion, message",
+    [
+        ((2, 8), "exclusion (2, 8) has a node outside"),
+        ((1, 2, 3), "exclusion (1, 2, 3) is not a pair"),
+        ((1,), "exclusion (1,) is not a pair"),
+    ],
+    ids=["node-past-end", "triple", "single"],
+)
+def test_replaced_system_exclusion_members_are_checked(exclusion, message):
     base = sat_eight_rays()
-    with pytest.raises(ValueError, match=re.escape("exclusion (2, 8) has a node outside")):
-        dataclasses.replace(base, exclusions=base.exclusions + ((2, 8),))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(base, exclusions=base.exclusions + (exclusion,))
 
 
 def test_pinned_copies_share_one_plan():
@@ -494,6 +507,7 @@ def test_pinned_copies_share_one_plan():
     for node in range(10):
         pinned = dataclasses.replace(system, fixed=((node % len(system.nodes), node % 2),))
         assert pinned._plan is system._plan
+        assert pinned._readers is system._readers
         solve(pinned)
     assert _search_plan.cache_info().misses == misses
 

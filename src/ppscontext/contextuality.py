@@ -181,13 +181,21 @@ def _make_labels(nodes: tuple[Projector, ...]) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _is_index(node) -> bool:
+    """True for an int or numpy integer that is not a bool."""
+    return isinstance(node, (int, np.integer)) and not isinstance(node, bool)
+
+
 def _check_fixed(fixed, n: int) -> None:
     """ValueError on a fixed entry that is not a (node, value) pair, whose
-    node is outside [0, n) or whose value is not 0 or 1."""
+    node is not an integer index (bools excluded) or is outside [0, n), or
+    whose value is not 0 or 1."""
     for entry in fixed:
         if len(entry) != 2:
             raise ValueError(f"fixed entry {entry!r} is not a (node, value) pair")
         node, value = entry
+        if not _is_index(node):
+            raise ValueError(f"fixed entry {entry!r} has a node that is not an integer")
         if not 0 <= node < n or value not in (0, 1):
             raise ValueError(
                 f"fixed entry {entry!r} needs a node in [0, {n}) and a value 0 or 1"
@@ -195,11 +203,14 @@ def _check_fixed(fixed, n: int) -> None:
 
 
 def _check_members(kind: str, groups, n: int) -> None:
-    """ValueError on an exclusion or resolution with no members or with a
-    node outside [0, n)."""
+    """ValueError on an exclusion or resolution with no members, with a
+    node that is not an integer index (bools excluded) or with a node
+    outside [0, n)."""
     for members in groups:
         if not members:
             raise ValueError(f"{kind} {members!r} has no members")
+        if not all(map(_is_index, members)):
+            raise ValueError(f"{kind} {members!r} has a node that is not an integer")
         if not all(0 <= m < n for m in members):
             raise ValueError(f"{kind} {members!r} has a node outside [0, {n})")
 

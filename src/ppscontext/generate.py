@@ -136,6 +136,31 @@ def paradox_corpus(seed: int, count: int) -> list[Scenario]:
     return corpus
 
 
+def diagonal_family(dim: int) -> Scenario:
+    """Logical, non-paradoxical scenario of dim/2 commuting diagonal PVMs.
+
+    PVM k puts basis vector k and every m + j, j != k, in its first half
+    (m = dim/2), so each basis vector has its own membership pattern and
+    the PVMs generate every diagonal projector.  Pre = post = |0>, so every
+    outcome is certain and the closure extends the classical assignment
+    "v(P) = 1 iff |0> lies in P"; its work grows with dim and depth alone.
+    An odd or non-positive ``dim`` raises ValueError.
+    """
+    if dim < 2 or dim % 2:
+        raise ValueError(f"the diagonal family needs an even dim >= 2, got {dim}")
+    m = dim // 2
+
+    def diagonal(indices) -> Projector:
+        return Projector(np.diag([1.0 if a in indices else 0.0 for a in range(dim)]))
+
+    pvms = []
+    for k in range(m):
+        first = {k} | {m + j for j in range(m) if j != k}
+        pvms.append(Pvm(f"H{k}", (diagonal(first), diagonal(set(range(dim)) - first))))
+    zero = diagonal({0})
+    return Scenario(dim, zero, zero, tuple(pvms))
+
+
 def conjugate_scenario(scenario: Scenario, unitary: np.ndarray) -> Scenario:
     """Conjugate every projector of a scenario by one unitary."""
 
@@ -169,6 +194,7 @@ __all__ = [
     "random_scenario",
     "planted_paradox",
     "paradox_corpus",
+    "diagonal_family",
     "conjugate_scenario",
     "swap_selections",
 ]

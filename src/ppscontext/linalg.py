@@ -7,6 +7,7 @@ is a pure function, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -244,36 +245,67 @@ def _chunks(n: int, entries: int):
     return (slice(at, at + step) for at in range(0, n, step))
 
 
-def _first_close(stored: np.ndarray, mats: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _key_weights(dim: int) -> tuple[np.ndarray, float]:
+    """Weights w_a = 1.5 + 0.5 sin(a), a = 1..dim, of `_keys`, and the
+    half-width 2 EPS_PROJ sum_a w_a of a lookup window."""
+    weights = 1.5 + 0.5 * np.sin(np.arange(1, dim + 1))
+    weights.setflags(write=False)
+    return weights, 2 * EPS_PROJ * float(weights.sum())
+
+
+def _keys(stack: np.ndarray) -> np.ndarray:
+    """Lookup key sum_a w_a Re M_aa of each matrix of a (k, d, d) stack."""
+    return stack.diagonal(axis1=1, axis2=2).real @ _key_weights(stack.shape[1])[0]
+
+
+def _first_close(
+    stored: np.ndarray, mats: np.ndarray, keys: np.ndarray | None = None
+) -> np.ndarray:
     """First index into the stack ``stored`` within EPS_PROJ of each of
     ``mats``, or -1; stacks of different dimensions raise DimensionMismatch.
+    ``keys`` are the `_keys` of ``stored``, computed here if not given.
 
-    A query's candidates are the stored matrices whose key sum_a w_a Re M_aa,
-    w_a = 1.5 + 0.5 sin(a), lies within 2 EPS_PROJ sum_a w_a of its own.  A
-    match moves the key by at most EPS_PROJ sum_a w_a; the other half of the
-    window covers the rounding of the two sums, at most about 4 d^2 2^-53,
-    which is below EPS_PROJ d for any d up to 10^6.  So no match is dropped;
-    the entrywise test decides among the candidates.  They come from one
-    len(mats) x len(stored) mask: linear in the store in the closure, whose
-    `_chunks` cap a batch at about _CHUNK_ENTRIES / d^2 queries, and n x n in
-    the build and assembly, no larger than the Gram matrix of `_exclusions`.
+    A query's candidates are the stored matrices whose key lies in
+    [key - W, key + W) of its own, W = 2 EPS_PROJ sum_a w_a.  A match moves
+    the key by at most EPS_PROJ sum_a w_a; the other half of the window
+    covers the rounding of the two sums, at most about 4 d^2 2^-53, which
+    is below EPS_PROJ d for any d up to 10^6.  So no match is dropped; the
+    entrywise test decides among the candidates.  They are found by one
+    `searchsorted` of every window's two ends in the sorted stored keys:
+    O((m + n) log n) for m queries and n stored matrices, plus one
+    entrywise test per candidate.  When no query has two candidates, each
+    is tested against its own in one stack the size of ``mats``;
+    otherwise the (query, candidate) pairs are tested in `_chunks`.
     """
-    n = len(stored)
-    found = np.full(len(mats), n)
-    if len(mats) and n:
-        dim = mats.shape[1]
-        if dim != stored.shape[1]:
-            raise DimensionMismatch("query and stored projector dimensions differ")
-        weights = 1.5 + 0.5 * np.sin(np.arange(1, dim + 1))
-        keys = stored.diagonal(axis1=1, axis2=2).real @ weights
-        query = mats.diagonal(axis1=1, axis2=2).real @ weights
-        window = 2 * EPS_PROJ * weights.sum()
-        # One (query, candidate) row per stored key in a query's window.
-        rows, candidates = np.nonzero(np.abs(query[:, None] - keys) <= window)
-        for piece in _chunks(len(rows), dim * dim):
-            r, c = rows[piece], candidates[piece]
-            close = _close(stored[c], mats[r])
-            np.minimum.at(found, r[close], c[close])
+    n, m = len(stored), len(mats)
+    if not (m and n):
+        return np.full(m, -1)
+    dim = mats.shape[1]
+    if dim != stored.shape[1]:
+        raise DimensionMismatch("query and stored projector dimensions differ")
+    keys = _keys(stored) if keys is None else keys
+    order = np.argsort(keys)
+    window = _key_weights(dim)[1]
+    lo, hi = np.searchsorted(keys[order], np.add.outer(_keys(mats), (-window, window))).T
+    counts = hi - lo
+    if counts.max() <= 1:
+        # One entrywise test per query that has a candidate.
+        rows = np.flatnonzero(counts)
+        candidates = order[lo[rows]]
+        close = _close(stored[candidates], mats[rows])
+        found = np.full(m, -1)
+        found[rows[close]] = candidates[close]
+        return found
+    # One (query, candidate) row per stored key in a query's window.
+    rows = np.repeat(np.arange(m), counts)
+    starts = np.cumsum(counts) - counts
+    candidates = order[np.arange(len(rows)) + np.repeat(lo - starts, counts)]
+    found = np.full(m, n)
+    for piece in _chunks(len(rows), dim * dim):
+        r, c = rows[piece], candidates[piece]
+        close = _close(stored[c], mats[r])
+        np.minimum.at(found, r[close], c[close])
     return np.where(found < n, found, -1)
 
 

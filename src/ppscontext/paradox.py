@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ImpossiblePostselection, NotAProjector, PreconditionViolated
-from .linalg import EPS_ORTH, Projector, _chunks, _close, _first_close, check_projectors, commutes
+from .linalg import (
+    EPS_ORTH, Projector, _chunks, _close, _first_close, _keys, check_projectors, commutes,
+)
 from .measurement import AblTable, Scenario, abl_table
 
 #: Tolerance for rounding conditional probabilities to 0/1; looser than
@@ -50,13 +52,17 @@ class ProjectorIndex:
     when their entries agree within EPS_PROJ, the ``projectors_close``
     criterion; ``find`` returns the first stored match.  The matrices are
     kept stacked so a lookup is one array comparison over the stored
-    slots alone.  A projector of another dimension raises DimensionMismatch.
+    slots alone.  ``find_many`` keeps the stored slots' `_first_close` keys
+    beside the stack: each call keys only the slots stored since the last
+    one, and a store that is never looked up as a stack keys none.  A
+    projector of another dimension raises DimensionMismatch.
     """
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
         self._items: list[Projector] = []
         self._stack = np.empty((0, dim, dim), dtype=complex)
+        self._keys = np.empty(0)
 
     def _check_dim(self, p: Projector) -> None:
         if p.dim != self.dim:
@@ -70,7 +76,10 @@ class ProjectorIndex:
 
     def find_many(self, mats: np.ndarray) -> np.ndarray:
         """First stored slot within EPS_PROJ of each matrix, or -1."""
-        return _first_close(self._stack[: len(self)], mats)
+        n = len(self)
+        if len(self._keys) < n:
+            self._keys = np.concatenate([self._keys, _keys(self._stack[len(self._keys) : n])])
+        return _first_close(self._stack[:n], mats, self._keys)
 
     def append(self, p: Projector) -> int:
         """Store ``p``, which has no stored match, in a new slot and return it."""
@@ -86,7 +95,7 @@ class ProjectorIndex:
         return slot
 
     def matrices(self, slots) -> np.ndarray:
-        return self._stack[: len(self)][list(slots)]
+        return self._stack[: len(self)][np.asarray(slots, dtype=int)]
 
     def projector(self, slot: int) -> Projector:
         return self._items[slot]
@@ -351,28 +360,42 @@ def _complements(work: LogicalAssignment, slots) -> Violation | None:
     return None
 
 
-def _products_and_joins(work: LogicalAssignment, i: int, later: range) -> Violation | None:
-    """ac3 and ac4 for entry ``i`` with each slot in ``later`` that commutes
-    with it (max |PQ - QP| <= EPS_ORTH, one stacked test), in order; a
-    violation's pair is confirmed with ``commutes`` first, and
-    PreconditionViolated is raised if that test fails."""
-    p, vp = work.projector(i), work._values[i]
-    qs = work.matrices(later)
-    products = p.matrix @ qs
-    kept = np.abs(products - qs @ p.matrix).max(axis=(1, 2)) <= EPS_ORTH
+def _pairs(first: int, stop: int, paired: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the pairs (i, j), i in [first, stop) and j in
+    [max(i + 1, paired), n), in (i, j) order."""
+    if stop == first + 1:
+        cols = np.arange(max(stop, paired), n)
+        return np.full(len(cols), first), cols
+    starts = np.maximum(np.arange(first + 1, stop + 1), paired)
+    counts = n - starts
+    rows = np.repeat(np.arange(first, stop), counts)
+    offsets = np.cumsum(counts) - counts
+    return rows, np.arange(len(rows)) + np.repeat(starts - offsets, counts)
+
+
+def _products_and_joins(
+    work: LogicalAssignment, rows: np.ndarray, cols: np.ndarray
+) -> Violation | None:
+    """ac3 and ac4 for each pair of entries (rows[k], cols[k]) that commutes
+    (max |PQ - QP| <= EPS_ORTH, one stacked test), in order; a violation's
+    pair is confirmed with ``commutes`` first, and PreconditionViolated is
+    raised if that test fails."""
+    ps, qs = work.matrices(rows), work.matrices(cols)
+    products = ps @ qs
+    kept = np.abs(products - qs @ ps).max(axis=(1, 2)) <= EPS_ORTH
     if not kept.any():
         return None
-    partners = (later.start + np.flatnonzero(kept)).tolist()
-    qs, products = qs[kept], products[kept]
-    batch = _Batch(work, np.concatenate([products, p.matrix + qs - products]))
-    for k, slot in enumerate(partners):
-        vq, join = work._values[slot], len(partners) + k
+    ps, qs, products = ps[kept], qs[kept], products[kept]
+    pairs = list(zip(rows[kept].tolist(), cols[kept].tolist()))
+    batch = _Batch(work, np.concatenate([products, ps + qs - products]))
+    for k, (i, j) in enumerate(pairs):
+        vp, vq, join = work._values[i], work._values[j], len(pairs) + k
         vpq = batch.setdefault(k, vp * vq)
         derived = vp + vq - vpq
         existing = batch.setdefault(join, derived) if derived in (0, 1) else None
         if existing == derived:
             continue
-        q = work.projector(slot)
+        p, q = work.projector(i), work.projector(j)
         if not commutes(p, q):
             raise PreconditionViolated(
                 f"a violation cites two entries that commute within EPS_ORTH = "
@@ -411,17 +434,24 @@ def closure_extend(
     never change and slots are only appended, so a matrix keeps its
     first match once stored, and a skipped complement or pair would
     re-derive the same slots and values: it could neither store an entry
-    nor raise a violation.  The products and joins of one entry with its
-    commuting partners are looked up as one stack (``_Batch``), with the
-    same first matches as one lookup each, and only the matrices that match
-    no stored slot are validated, as one stack.
+    nor raise a violation.
+
+    The pairs are visited in (i, j) order, in blocks of rows that double
+    in size (1, 2, 4, ... rows), so a closure that stops in its first row
+    pays for that row alone.  Each ``_chunks`` piece of a block's pairs,
+    at most _CHUNK_ENTRIES / 2 d^2 pairs and possibly cut inside a row, is
+    tested for commutation as one stack, and the products and joins of the
+    pairs that pass are looked up as one stack (``_Batch``), with the same
+    first matches as one lookup each, also where a later row of the piece
+    meets a slot an earlier row stored.  Only the matrices that match no
+    stored slot are validated, as one stack.
 
     Two entries are paired when they commute, max |PQ - QP| <= EPS_ORTH,
-    the ``commutes`` rule.  A row tests its candidates as one stack per
-    ``_chunks`` piece, and keeps the products it needs anyway for the
-    pairs that pass.  A stacked product can round differently from the one
-    in ``commutes`` in the last bits, so a pair whose commutator lies
-    within rounding of EPS_ORTH may be decided differently.  A returned
+    the ``commutes`` rule; the stacked test keeps the products it needs
+    anyway for the pairs that pass.  A stacked product can round
+    differently from the one in ``commutes`` in the last bits, so a pair
+    whose commutator lies within rounding of EPS_ORTH may be decided
+    differently.  A returned
     violation never rests on such a pair: its pair is confirmed with
     ``commutes`` first, and if the test fails the closure raises
     PreconditionViolated instead, since that violation would not pass
@@ -431,7 +461,7 @@ def closure_extend(
         raise ValueError(f"depth must be >= 0, got {depth}")
     work = assignment.copy()
     complemented = paired = 0
-    row = 2 * work.dim**2  # a batch row's entries in its two (len, d, d) stacks
+    row = 2 * work.dim**2  # a pair's entries in a batch's two (len, d, d) stacks
     for _ in range(depth):
         stored = len(work)
         fresh = range(complemented, stored)
@@ -439,11 +469,14 @@ def closure_extend(
             if (violation := _complements(work, fresh[piece])) is not None:
                 return violation
         complemented, n = stored, len(work)
-        for i in range(n):
-            later = range(max(i + 1, paired), n)
-            for piece in _chunks(len(later), row):
-                if (violation := _products_and_joins(work, i, later[piece])) is not None:
+        first, size = 0, 1
+        while first < n:
+            stop = min(first + size, n)
+            rows, cols = _pairs(first, stop, paired, n)
+            for piece in _chunks(len(rows), row):
+                if (violation := _products_and_joins(work, rows[piece], cols[piece])) is not None:
                     return violation
+            first, size = stop, 2 * size
         paired = n
         if len(work) == stored:
             break

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from ppscontext import linalg, paradox
 from ppscontext.errors import NotAProjector, PreconditionViolated
-from ppscontext.generate import paradox_corpus, random_scenario, random_unitary, rng_for
+from ppscontext.generate import (
+    diagonal_family,
+    paradox_corpus,
+    random_scenario,
+    random_unitary,
+    rng_for,
+)
 from ppscontext.linalg import (
     EPS_ORTH,
     Projector,
@@ -157,23 +163,6 @@ def pigeonhole(n):
     )
 
 
-def diagonal_family(dim):
-    """dim/2 commuting diagonal PVMs that generate every diagonal projector.
-
-    PVM k puts basis vector k and every m + j, j != k, in its first half
-    (m = dim/2); pre = post = |0>, so the scenario is logical and the
-    closure extends the classical assignment "v(P) = 1 iff |0> lies in P".
-    """
-    m = dim // 2
-    pvms = []
-    for k in range(m):
-        first = {k} | {m + j for j in range(m) if j != k}
-        rest = set(range(dim)) - first
-        pvms.append(Pvm(f"H{k}", (basis_projector(dim, first), basis_projector(dim, rest))))
-    zero = basis_projector(dim, {0})
-    return Scenario(dim, zero, zero, tuple(pvms))
-
-
 def assignment_for(scenario):
     """The rounded assignment of a logical scenario; otherwise value 1 on
     the first element of every PVM and 0 on the others."""
@@ -217,6 +206,58 @@ def test_closure_matches_pairwise_oracle_at_small_chunk_bounds(monkeypatch, name
     assignment = assignment_for(scenario)
     monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", bound)
     assert_parity(closure_extend(assignment, 3), pairwise_closure(assignment, 3))
+
+
+def recorded_chunks(monkeypatch):
+    """Record the rows and columns of every chunk of pairs the closure
+    passes to ``_products_and_joins``, with the store before and after."""
+    chunks = []
+    products_and_joins = paradox._products_and_joins
+
+    def recording(work, rows, cols):
+        start = len(work)
+        result = products_and_joins(work, rows, cols)
+        chunks.append((rows.tolist(), cols.tolist(), work, start, len(work)))
+        return result
+
+    monkeypatch.setattr(paradox, "_products_and_joins", recording)
+    return chunks
+
+
+@pytest.mark.parametrize("per_chunk", [3, 7])
+@pytest.mark.parametrize("name", ["family-6", "random-2", "random-4"])
+def test_closure_matches_pairwise_oracle_when_chunks_cut_rows(monkeypatch, name, per_chunk):
+    # A bound of per_chunk pairs cuts the blocks of 2, 4, ... rows in the
+    # middle of a row, so one row's pairs span two chunks and one chunk
+    # holds the end of one row and the start of the next.
+    scenario = dict(CASES)[name]
+    assignment = assignment_for(scenario)
+    monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", per_chunk * 2 * scenario.dim**2)
+    chunks = recorded_chunks(monkeypatch)
+    assert_parity(closure_extend(assignment, 3), pairwise_closure(assignment, 3))
+    assert all(len(rows) <= per_chunk for rows, *_ in chunks)
+    assert any(prev[0][-1] == rows[0] for prev, (rows, *_) in zip(chunks, chunks[1:]))
+    assert any(rows[0] != rows[-1] for rows, *_ in chunks)
+
+
+def test_a_later_row_meets_a_slot_an_earlier_row_of_its_chunk_stored(monkeypatch):
+    # In the closure family most products and joins recur, so a chunk of
+    # several rows derives a new matrix in one row, stores it, and meets it
+    # again in a later row; that lookup must find the new slot, as the
+    # pairwise oracle does.
+    scenario = diagonal_family(6)
+    assignment = assignment_for(scenario)
+    chunks = recorded_chunks(monkeypatch)
+    assert_parity(closure_extend(assignment, 3), pairwise_closure(assignment, 3))
+    meets = 0
+    for rows, cols, work, start, stop in chunks:
+        stack = work.matrices(range(stop))
+        ps, qs = stack[rows], stack[cols]
+        derived = np.stack([ps @ qs, ps + qs - ps @ qs], axis=1)
+        for slot in range(start, stop):
+            makers = np.flatnonzero(linalg._close(derived, stack[slot]).any(axis=1))
+            meets += rows[makers[0]] < rows[makers[-1]]
+    assert meets > 0
 
 
 def test_closure_and_copy_leave_the_input_alone():

@@ -435,9 +435,14 @@ def test_proof_build_refuses_dimensions_at_the_bound(box3, monkeypatch):
         ((), ((0, 1), ()), "resolution () has no members"),
         (((1,),), (), "fixed entry (1,) is not a (node, value) pair"),
         (((1, 1, 1),), (), "fixed entry (1, 1, 1) is not a (node, value) pair"),
+        (((True, 0),), (), "fixed entry (True, 0) has a node that is not an integer"),
+        (((1.5, 1),), (), "fixed entry (1.5, 1) has a node that is not an integer"),
+        ((), ((0.0, 1),), "resolution (0.0, 1) has a node that is not an integer"),
+        ((), ((False, 1),), "resolution (False, 1) has a node that is not an integer"),
     ],
     ids=["node-past-end", "value-two", "negative-node", "negative-resolution",
-         "empty-resolution", "fixed-single", "fixed-triple"],
+         "empty-resolution", "fixed-single", "fixed-triple", "fixed-bool-node",
+         "fixed-float-node", "resolution-float-node", "resolution-bool-node"],
 )
 def test_assemble_system_rejects_bad_indices_and_values(fixed, resolutions, entry):
     p = projector_from_vectors([[1, 0]])
@@ -463,9 +468,13 @@ def sat_eight_rays():
         ((), ((),), "resolution () has no members"),
         (((1,),), (), "fixed entry (1,) is not a (node, value) pair"),
         (((1, 1, 1),), (), "fixed entry (1, 1, 1) is not a (node, value) pair"),
+        (((True, 0),), (), "fixed entry (True, 0) has a node that is not an integer"),
+        (((1.5, 1),), (), "fixed entry (1.5, 1) has a node that is not an integer"),
+        ((), ((0.0, 1, 2),), "resolution (0.0, 1, 2) has a node that is not an integer"),
     ],
     ids=["value-two", "wraps-to-last", "wraps-to-first", "node-past-end", "resolution",
-         "empty-resolution", "fixed-single", "fixed-triple"],
+         "empty-resolution", "fixed-single", "fixed-triple", "fixed-bool-node",
+         "fixed-float-node", "resolution-float-node"],
 )
 def test_replaced_system_entries_are_checked(fixed, resolutions, entry):
     # A system checks its entries when it is made, so no solve or
@@ -492,8 +501,10 @@ def test_replaced_system_label_count_is_checked(count):
         ((2, 8), "exclusion (2, 8) has a node outside"),
         ((1, 2, 3), "exclusion (1, 2, 3) is not a pair"),
         ((1,), "exclusion (1,) is not a pair"),
+        ((1.5, 2), "exclusion (1.5, 2) has a node that is not an integer"),
+        ((True, 2), "exclusion (True, 2) has a node that is not an integer"),
     ],
-    ids=["node-past-end", "triple", "single"],
+    ids=["node-past-end", "triple", "single", "float-node", "bool-node"],
 )
 def test_replaced_system_exclusion_members_are_checked(exclusion, message):
     base = sat_eight_rays()
@@ -519,6 +530,9 @@ def test_assemble_system_accepts_in_range_entries():
     assert system.resolutions == ((1, 0),)
     assert system.exclusions == ((0, 1),)
     assert solve(system).status == "SAT"
+    # numpy integers are node indices too; only bools and floats are not.
+    index = np.int64(1)
+    assert solve(assemble_system([p, p.complement()], ((index, 0),), ((index, 0),))).status == "SAT"
 
 
 def test_export_golden_three_box(box3):

@@ -186,41 +186,46 @@ def test_find_many_separates_equal_diagonals(monkeypatch):
 
 
 def brute_first_close(stored, mats):
-    """First index into ``stored`` within EPS_PROJ of each matrix, or -1."""
-    return [
-        next((i for i, s in enumerate(stored) if max_abs(s - m) <= EPS_PROJ), -1)
-        for m in mats
-    ]
+    """First index into ``stored`` within EPS_PROJ of each matrix, or -1,
+    from the full table of entrywise distances."""
+    close = np.abs(stored[None] - mats[:, None]).max(axis=(2, 3)) <= EPS_PROJ
+    # A last column that always matches stands for "no stored match".
+    first = np.column_stack([close, np.ones(len(mats), dtype=bool)]).argmax(axis=1)
+    return np.where(first < len(stored), first, -1).tolist()
 
 
-picks = st.lists(
-    st.tuples(st.integers(0, 11), st.sampled_from([0.0, 0.0, 0.4, 0.9, 1.1, 3.0])),
-    max_size=40,
+@given(
+    seeds,
+    st.sampled_from([1, 5, linalg._CHUNK_ENTRIES]),
+    st.integers(0, 200),
+    st.integers(0, 150),
 )
-
-
-@given(seeds, st.sampled_from([1, 5, linalg._CHUNK_ENTRIES]), picks, picks)
-def test_first_close_matches_a_brute_force_first_match(seed, chunk, stored, queries):
-    # A pool of twelve 3 x 3 matrices: the rays (1, ±1, 0) and (1, ±i, 0),
+def test_first_close_matches_a_brute_force_first_match(seed, chunk, n_stored, n_queries):
+    # A pool of thirteen 3 x 3 matrices: the rays (1, ±1, 0) and (1, ±i, 0),
     # which share one diagonal and so one key, a random basis with its
-    # complements, e_0 and I.  A pick (k, s) moves pool matrix k along a
-    # random direction to s EPS_PROJ away in max norm, so matches fall on
-    # both sides of the tolerance; chunk 1 compares one candidate at a time.
+    # complements, e_0, I and, for queries alone, e_2, which nothing stored
+    # lies near.  Half of all picks take a shared-key ray, so a query has
+    # up to about 100 candidates; a pick moves its pool matrix along a
+    # random direction to s EPS_PROJ away in max norm, s in
+    # {0, 0.4, 0.9, 1.1, 3}, so matches fall on both sides of the
+    # tolerance.  Chunk 1 compares one candidate at a time.
     rng = rng_for(seed)
     u = random_unitary(3, rng)
     pool = [projector_from_vectors([v]).matrix for v in
             ([1, 1, 0], [1, -1, 0], [1, 1j, 0], [1, -1j, 0])]
     pool += [np.outer(u[:, k], u[:, k].conj()) for k in range(3)]
     pool += [np.eye(3) - m for m in pool[4:7]] + [basis_proj(3, 0).matrix, np.eye(3)]
+    pool += [basis_proj(3, 2).matrix]
 
-    def stack(chosen):
-        out = np.zeros((len(chosen), 3, 3), dtype=complex)
-        for row, (k, scale) in enumerate(chosen):
-            step = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            out[row] = pool[k] + scale * EPS_PROJ * step / np.abs(step).max()
-        return out
+    def stack(count, kinds):
+        shared = rng.random(count) < 0.5
+        picks = np.where(shared, rng.integers(0, 4, count), rng.integers(0, kinds, count))
+        scales = rng.choice([0.0, 0.0, 0.4, 0.9, 1.1, 3.0], count)
+        steps = rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3))
+        steps /= np.abs(steps).max(axis=(1, 2), keepdims=True)
+        return np.array(pool)[picks] + scales[:, None, None] * EPS_PROJ * steps
 
-    stored, queries = stack(stored), stack(queries)
+    stored, queries = stack(n_stored, len(pool) - 1), stack(n_queries, len(pool))
     with mock.patch.object(linalg, "_CHUNK_ENTRIES", chunk):
         got = paradox._first_close(stored, queries)
     assert got.tolist() == brute_first_close(stored, queries)
@@ -627,3 +632,17 @@ def test_planted_paradox_rejects_bad_ranks(monkeypatch, dim, ranks, message):
     monkeypatch.setattr(generate, "random_unitary", no_draw)
     with pytest.raises(ValueError, match=message):
         planted_paradox(dim, rng_for(0), ranks=ranks)
+
+
+@pytest.mark.parametrize("dim", [0, -2, 5])
+def test_diagonal_family_rejects_odd_and_empty_dimensions(dim):
+    with pytest.raises(ValueError, match=f"even dim >= 2, got {dim}"):
+        generate.diagonal_family(dim)
+
+
+def test_diagonal_family_is_logical_and_classical():
+    verdict = detect_paradox(generate.diagonal_family(4), 2)
+    assert verdict.is_logical and not verdict.is_paradox
+    zero = basis_proj(4, 0).matrix
+    for p, value, _ in verdict.assignment.entries():
+        assert value == int(abs(np.trace(p.matrix @ zero) - 1) < 1e-9)

@@ -23,3 +23,11 @@ def test_three_box_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "status: UNSAT" in out
     assert "# sampler, E2" in out
+
+
+def test_closure_scaling_checks_stored_counts(capsys):
+    script = load_script("closure_scaling")
+    assert script.run(((6, 3, 62),)) == 0
+    assert "d=6 depth=3: 62 stored (want 62), no paradox" in capsys.readouterr().out
+    assert script.run(((6, 3, 61),)) == 1
+    assert "FAILED" in capsys.readouterr().out

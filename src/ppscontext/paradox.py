@@ -451,11 +451,10 @@ def closure_extend(
     anyway for the pairs that pass.  A stacked product can round
     differently from the one in ``commutes`` in the last bits, so a pair
     whose commutator lies within rounding of EPS_ORTH may be decided
-    differently.  A returned
-    violation never rests on such a pair: its pair is confirmed with
-    ``commutes`` first, and if the test fails the closure raises
-    PreconditionViolated instead, since that violation would not pass
-    ``recheck_violation``.
+    differently.  A returned violation never rests on such a pair: its
+    pair is confirmed with ``commutes`` first, and if the test fails the
+    closure raises PreconditionViolated instead, since that violation
+    would not pass ``recheck_violation``.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")

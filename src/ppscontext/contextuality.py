@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -136,6 +137,9 @@ class ConstraintSystem:
         if len(self.labels) != n:
             raise ValueError(f"labels has {len(self.labels)} entries for {n} nodes")
         _check_fixed(self.fixed, n)
+        # The plan's cache key takes True and 1.0 for 1, so types are checked here.
+        _check_indices("exclusion", self.exclusions)
+        _check_indices("resolution", self.resolutions)
         plan = _search_plan(n, self.exclusions, self.resolutions, self.labels)
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_readers", _readers(self.resolutions))
@@ -186,6 +190,27 @@ def _is_index(node) -> bool:
     return isinstance(node, (int, np.integer)) and not isinstance(node, bool)
 
 
+#: Exclusion and resolution tuples whose nodes passed `_check_indices`, by
+#: id, at most 16.  A pinned copy made by ``dataclasses.replace`` shares
+#: its tuples, so it skips a scan that costs the `ks` workload a fifth of
+#: its time; holding a tuple keeps its id from being reused.
+_INDEXED: dict = {}
+
+
+def _check_indices(kind: str, groups) -> None:
+    """ValueError on an exclusion or resolution with a node that is not an
+    integer index (bools excluded); one type pass when all nodes are ints."""
+    if _INDEXED.get(id(groups)) is groups:
+        return
+    if not set(map(type, chain.from_iterable(groups))) <= {int}:
+        for members in groups:
+            if not all(map(_is_index, members)):
+                raise ValueError(f"{kind} {members!r} has a node that is not an integer")
+    if len(_INDEXED) >= 16:
+        _INDEXED.clear()
+    _INDEXED[id(groups)] = groups
+
+
 def _check_fixed(fixed, n: int) -> None:
     """ValueError on a fixed entry that is not a (node, value) pair, whose
     node is not an integer index (bools excluded) or is outside [0, n), or
@@ -203,14 +228,11 @@ def _check_fixed(fixed, n: int) -> None:
 
 
 def _check_members(kind: str, groups, n: int) -> None:
-    """ValueError on an exclusion or resolution with no members, with a
-    node that is not an integer index (bools excluded) or with a node
-    outside [0, n)."""
+    """ValueError on an exclusion or resolution with no members or with a
+    node outside [0, n); `_check_indices` must have passed."""
     for members in groups:
         if not members:
             raise ValueError(f"{kind} {members!r} has no members")
-        if not all(map(_is_index, members)):
-            raise ValueError(f"{kind} {members!r} has a node that is not an integer")
         if not all(0 <= m < n for m in members):
             raise ValueError(f"{kind} {members!r} has a node outside [0, {n})")
 
@@ -245,6 +267,7 @@ def assemble_system(
     # The first node with an earlier match is merged, as all before it are kept.
     if len(kept) < n:
         raise ValueError("node list contains duplicates")
+    _check_indices("resolution", resolutions)
     _check_members("resolution", resolutions, n)
     return _finish(nodes, stack, fixed, resolutions)
 
@@ -366,7 +389,8 @@ def _search_plan(n, exclusions, resolutions, labels):
     in exclusion order, the resolutions holding each node as (members,
     index, reason) triples in resolution order, and every node ranked by
     descending exclusion degree, then label, then index.  A member
-    outside [0, n), or an exclusion that is not a pair, raises ValueError.
+    outside [0, n), or an exclusion that is not a pair, raises ValueError;
+    the system checks that every member is an integer before it plans.
     """
     _check_members("exclusion", exclusions, n)
     _check_members("resolution", resolutions, n)

@@ -238,45 +238,43 @@ def projectors_close(p: Projector, q: Projector) -> bool:
 _CHUNK_ENTRIES = 1 << 13
 
 
+def _chunk_len(entries: int) -> int:
+    """Items of ``entries`` array entries each in one chunk: at most (and at
+    least one) _CHUNK_ENTRIES // ``entries``."""
+    return max(1, _CHUNK_ENTRIES // max(1, entries))
+
+
 def _chunks(n: int, entries: int):
-    """Slices covering range(n) in order, each of at most (and at least one)
-    _CHUNK_ENTRIES // ``entries`` items of ``entries`` array entries each."""
-    step = max(1, _CHUNK_ENTRIES // max(1, entries))
+    """Slices covering range(n) in order, each of `_chunk_len` items."""
+    step = _chunk_len(entries)
     return (slice(at, at + step) for at in range(0, n, step))
 
 
 @functools.lru_cache(maxsize=None)
 def _key_weights(dim: int) -> tuple[np.ndarray, float]:
-    """Weights w_a = 1.5 + 0.5 sin(a), a = 1..dim, of `_keys`, and the
-    half-width 2 EPS_PROJ sum_a w_a of a lookup window."""
+    """Weights w_a = 1.5 + 0.5 sin(a), a = 1..dim, of the `_first_close`
+    key, and the half-width 2 EPS_PROJ sum_a w_a of a lookup window."""
     weights = 1.5 + 0.5 * np.sin(np.arange(1, dim + 1))
     weights.setflags(write=False)
     return weights, 2 * EPS_PROJ * float(weights.sum())
 
 
-def _keys(stack: np.ndarray) -> np.ndarray:
-    """Lookup key sum_a w_a Re M_aa of each matrix of a (k, d, d) stack."""
-    return stack.diagonal(axis1=1, axis2=2).real @ _key_weights(stack.shape[1])[0]
-
-
-def _first_close(
-    stored: np.ndarray, mats: np.ndarray, keys: np.ndarray | None = None
-) -> np.ndarray:
+def _first_close(stored: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """First index into the stack ``stored`` within EPS_PROJ of each of
     ``mats``, or -1; stacks of different dimensions raise DimensionMismatch.
-    ``keys`` are the `_keys` of ``stored``, computed here if not given.
 
-    A query's candidates are the stored matrices whose key lies in
-    [key - W, key + W) of its own, W = 2 EPS_PROJ sum_a w_a.  A match moves
-    the key by at most EPS_PROJ sum_a w_a; the other half of the window
-    covers the rounding of the two sums, at most about 4 d^2 2^-53, which
-    is below EPS_PROJ d for any d up to 10^6.  So no match is dropped; the
-    entrywise test decides among the candidates.  They are found by one
-    `searchsorted` of every window's two ends in the sorted stored keys:
-    O((m + n) log n) for m queries and n stored matrices, plus one
-    entrywise test per candidate.  When no query has two candidates, each
-    is tested against its own in one stack the size of ``mats``;
-    otherwise the (query, candidate) pairs are tested in `_chunks`.
+    A query's candidates are the stored matrices whose key sum_a w_a Re M_aa
+    lies in [key - W, key + W) of its own, W = 2 EPS_PROJ sum_a w_a.  A match
+    moves the key by at most EPS_PROJ sum_a w_a; the other half of the window
+    covers the rounding of the two sums, at most about 4 d^2 2^-53, which is
+    below EPS_PROJ d for any d up to 10^6.  So no match is dropped; the
+    entrywise test decides among the candidates, in `_chunks`.  They are
+    found by one `searchsorted` of every window's two ends in the sorted
+    stored keys: O((m + n) log n) for m queries and n stored matrices, plus
+    one entrywise test per candidate.  When no query has two candidates, as
+    in nearly every lookup of the closure and of small builds, a close
+    candidate is its query's match, and the (query, candidate) rows need
+    neither `np.repeat` nor a first-match reduction.
     """
     n, m = len(stored), len(mats)
     if not (m and n):
@@ -284,18 +282,20 @@ def _first_close(
     dim = mats.shape[1]
     if dim != stored.shape[1]:
         raise DimensionMismatch("query and stored projector dimensions differ")
-    keys = _keys(stored) if keys is None else keys
+    weights, window = _key_weights(dim)
+    keys = stored.diagonal(axis1=1, axis2=2).real @ weights
+    query = mats.diagonal(axis1=1, axis2=2).real @ weights
     order = np.argsort(keys)
-    window = _key_weights(dim)[1]
-    lo, hi = np.searchsorted(keys[order], np.add.outer(_keys(mats), (-window, window))).T
+    lo, hi = np.searchsorted(keys[order], np.add.outer(query, (-window, window))).T
     counts = hi - lo
     if counts.max() <= 1:
-        # One entrywise test per query that has a candidate.
         rows = np.flatnonzero(counts)
         candidates = order[lo[rows]]
-        close = _close(stored[candidates], mats[rows])
         found = np.full(m, -1)
-        found[rows[close]] = candidates[close]
+        for piece in _chunks(len(rows), dim * dim):
+            r, c = rows[piece], candidates[piece]
+            close = _close(stored[c], mats[r])
+            found[r[close]] = c[close]
         return found
     # One (query, candidate) row per stored key in a query's window.
     rows = np.repeat(np.arange(m), counts)

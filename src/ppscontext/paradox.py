@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ImpossiblePostselection, NotAProjector, PreconditionViolated
 from .linalg import (
-    EPS_ORTH, Projector, _chunks, _close, _first_close, _keys, check_projectors, commutes,
+    EPS_ORTH, Projector, _chunk_len, _chunks, _close, _first_close, check_projectors, commutes,
 )
 from .measurement import AblTable, Scenario, abl_table
 
@@ -52,17 +52,13 @@ class ProjectorIndex:
     when their entries agree within EPS_PROJ, the ``projectors_close``
     criterion; ``find`` returns the first stored match.  The matrices are
     kept stacked so a lookup is one array comparison over the stored
-    slots alone.  ``find_many`` keeps the stored slots' `_first_close` keys
-    beside the stack: each call keys only the slots stored since the last
-    one, and a store that is never looked up as a stack keys none.  A
-    projector of another dimension raises DimensionMismatch.
+    slots alone.  A projector of another dimension raises DimensionMismatch.
     """
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
         self._items: list[Projector] = []
         self._stack = np.empty((0, dim, dim), dtype=complex)
-        self._keys = np.empty(0)
 
     def _check_dim(self, p: Projector) -> None:
         if p.dim != self.dim:
@@ -76,10 +72,7 @@ class ProjectorIndex:
 
     def find_many(self, mats: np.ndarray) -> np.ndarray:
         """First stored slot within EPS_PROJ of each matrix, or -1."""
-        n = len(self)
-        if len(self._keys) < n:
-            self._keys = np.concatenate([self._keys, _keys(self._stack[len(self._keys) : n])])
-        return _first_close(self._stack[:n], mats, self._keys)
+        return _first_close(self._stack[: len(self)], mats)
 
     def append(self, p: Projector) -> int:
         """Store ``p``, which has no stored match, in a new slot and return it."""
@@ -360,17 +353,20 @@ def _complements(work: LogicalAssignment, slots) -> Violation | None:
     return None
 
 
-def _pairs(first: int, stop: int, paired: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the pairs (i, j), i in [first, stop) and j in
-    [max(i + 1, paired), n), in (i, j) order."""
-    if stop == first + 1:
-        cols = np.arange(max(stop, paired), n)
-        return np.full(len(cols), first), cols
-    starts = np.maximum(np.arange(first + 1, stop + 1), paired)
-    counts = n - starts
-    rows = np.repeat(np.arange(first, stop), counts)
-    offsets = np.cumsum(counts) - counts
-    return rows, np.arange(len(rows)) + np.repeat(starts - offsets, counts)
+def _pair_chunks(paired: int, n: int, most: int):
+    """Rows and columns of the pairs (i, j), i < j < n and j >= paired, in
+    (i, j) order, in pieces of c, 2c, 4c, ... pairs, at most ``most`` each,
+    where c is the first row's pair count."""
+    counts = n - np.maximum(np.arange(1, n + 1), paired)
+    ends = np.cumsum(counts)
+    at, total = 0, int(counts.sum())
+    size = min(most, max(1, int(counts.max(initial=0))))
+    while at < total:
+        flat = np.arange(at, min(at + size, total))
+        rows = np.searchsorted(ends, flat, side="right")
+        # Row i holds the last counts[i] columns, ending at flat ends[i] - 1.
+        yield rows, flat - ends[rows] + n
+        at, size = at + size, min(most, 2 * size)
 
 
 def _products_and_joins(
@@ -436,15 +432,16 @@ def closure_extend(
     re-derive the same slots and values: it could neither store an entry
     nor raise a violation.
 
-    The pairs are visited in (i, j) order, in blocks of rows that double
-    in size (1, 2, 4, ... rows), so a closure that stops in its first row
-    pays for that row alone.  Each ``_chunks`` piece of a block's pairs,
-    at most _CHUNK_ENTRIES / 2 d^2 pairs and possibly cut inside a row, is
-    tested for commutation as one stack, and the products and joins of the
-    pairs that pass are looked up as one stack (``_Batch``), with the same
-    first matches as one lookup each, also where a later row of the piece
-    meets a slot an earlier row stored.  Only the matrices that match no
-    stored slot are validated, as one stack.
+    The pairs are visited in (i, j) order, in chunks that double in size
+    from the first row's pair count up to _CHUNK_ENTRIES / 2 d^2 pairs, so
+    a closure that stops in its first row pays for that row alone, and a
+    chunk may end inside a row.  Only one chunk's index arrays exist at a
+    time.  Each chunk is tested for commutation as one stack, and the
+    products and joins of the pairs that pass are looked up as one stack
+    (``_Batch``), with the same first matches as one lookup each, also
+    where a later row of the chunk meets a slot an earlier row stored.
+    Only the matrices that match no stored slot are validated, as one
+    stack.
 
     Two entries are paired when they commute, max |PQ - QP| <= EPS_ORTH,
     the ``commutes`` rule; the stacked test keeps the products it needs
@@ -468,14 +465,9 @@ def closure_extend(
             if (violation := _complements(work, fresh[piece])) is not None:
                 return violation
         complemented, n = stored, len(work)
-        first, size = 0, 1
-        while first < n:
-            stop = min(first + size, n)
-            rows, cols = _pairs(first, stop, paired, n)
-            for piece in _chunks(len(rows), row):
-                if (violation := _products_and_joins(work, rows[piece], cols[piece])) is not None:
-                    return violation
-            first, size = stop, 2 * size
+        for rows, cols in _pair_chunks(paired, n, _chunk_len(row)):
+            if (violation := _products_and_joins(work, rows, cols)) is not None:
+                return violation
         paired = n
         if len(work) == stored:
             break

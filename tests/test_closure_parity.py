@@ -208,6 +208,20 @@ def test_closure_matches_pairwise_oracle_at_small_chunk_bounds(monkeypatch, name
     assert_parity(closure_extend(assignment, 3), pairwise_closure(assignment, 3))
 
 
+@pytest.mark.parametrize(
+    "paired, n, most", [(0, 0, 4), (0, 1, 4), (0, 7, 4), (0, 12, 1), (3, 9, 100), (5, 6, 3)]
+)
+def test_pair_chunks_visit_each_pair_once_in_doubling_chunks(paired, n, most):
+    chunks = [(rows.tolist(), cols.tolist()) for rows, cols in paradox._pair_chunks(paired, n, most)]
+    pairs = [(i, j) for i in range(n) for j in range(max(i + 1, paired), n)]
+    assert [pair for rows, cols in chunks for pair in zip(rows, cols)] == pairs
+    # The first chunk is the first row's pairs; each later one doubles, up to most.
+    first = max(1, n - max(1, paired))
+    sizes = [len(rows) for rows, _ in chunks]
+    assert sizes[:-1] == [min(most, first << k) for k in range(len(sizes) - 1)]
+    assert all(size <= most for size in sizes)
+
+
 def recorded_chunks(monkeypatch):
     """Record the rows and columns of every chunk of pairs the closure
     passes to ``_products_and_joins``, with the store before and after."""

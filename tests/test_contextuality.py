@@ -496,18 +496,25 @@ def test_replaced_system_label_count_is_checked(count):
 
 
 @pytest.mark.parametrize(
-    "exclusion, message",
+    "planned, exclusion, message",
     [
-        ((2, 8), "exclusion (2, 8) has a node outside"),
-        ((1, 2, 3), "exclusion (1, 2, 3) is not a pair"),
-        ((1,), "exclusion (1,) is not a pair"),
-        ((1.5, 2), "exclusion (1.5, 2) has a node that is not an integer"),
-        ((True, 2), "exclusion (True, 2) has a node that is not an integer"),
+        (None, (2, 8), "exclusion (2, 8) has a node outside"),
+        (None, (1, 2, 3), "exclusion (1, 2, 3) is not a pair"),
+        (None, (1,), "exclusion (1,) is not a pair"),
+        (None, (1.5, 2), "exclusion (1.5, 2) has a node that is not an integer"),
+        (None, (True, 2), "exclusion (True, 2) has a node that is not an integer"),
+        ((1, 2), (True, 2), "exclusion (True, 2) has a node that is not an integer"),
+        ((1, 2), (1.0, 2), "exclusion (1.0, 2) has a node that is not an integer"),
     ],
-    ids=["node-past-end", "triple", "single", "float-node", "bool-node"],
+    ids=["node-past-end", "triple", "single", "float-node", "bool-node",
+         "bool-node-after-int-plan", "float-node-after-int-plan"],
 )
-def test_replaced_system_exclusion_members_are_checked(exclusion, message):
+def test_replaced_system_exclusion_members_are_checked(planned, exclusion, message):
+    # The search plan is cached on the exclusions, which compare equal when
+    # True or 1.0 stands for 1, so an equal int plan must not let one pass.
     base = sat_eight_rays()
+    if planned is not None:
+        dataclasses.replace(base, exclusions=base.exclusions + (planned,))
     with pytest.raises(ValueError, match=re.escape(message)):
         dataclasses.replace(base, exclusions=base.exclusions + (exclusion,))
 

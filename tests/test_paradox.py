@@ -231,6 +231,30 @@ def test_first_close_matches_a_brute_force_first_match(seed, chunk, n_stored, n_
     assert got.tolist() == brute_first_close(stored, queries)
 
 
+@pytest.mark.parametrize("chunk", [1, linalg._CHUNK_ENTRIES])
+def test_first_close_with_one_candidate_a_query_matches_brute_force(chunk):
+    # Stored matrices with pairwise distinct keys give each query at most
+    # one candidate, the lookup that needs no first-match reduction.  Each
+    # query moves a stored matrix s EPS_PROJ away, s in {0, 0.4, 0.9, 1.1,
+    # 3}, so a candidate may fail the entrywise test; e_2 has none.
+    rng = rng_for(11)
+    u = random_unitary(3, rng)
+    stored = np.array([np.outer(u[:, k], u[:, k].conj()) for k in range(2)]
+                      + [basis_proj(3, 0).matrix, np.eye(3)])
+    picks = rng.integers(0, len(stored), 40)
+    scales = np.tile([0.0, 0.4, 0.9, 1.1, 3.0], 8)
+    steps = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
+    steps /= np.abs(steps).max(axis=(1, 2), keepdims=True)
+    queries = np.concatenate(
+        [stored[picks] + scales[:, None, None] * EPS_PROJ * steps, basis_proj(3, 2).matrix[None]]
+    )
+    with mock.patch.object(linalg, "_CHUNK_ENTRIES", chunk):
+        got = paradox._first_close(stored, queries)
+    expected = brute_first_close(stored, queries)
+    assert got.tolist() == expected
+    assert {-1, 0, 1, 2, 3} <= set(expected)
+
+
 def test_logical_assignment_looks_each_element_up_once(box3, monkeypatch):
     calls = []
     find = ProjectorIndex.find

@@ -17,8 +17,6 @@ for one certain outcome and with one element pinned, serves
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -119,9 +117,9 @@ class ConstraintSystem:
     These three kinds are the only constraints: that I - P equals the sum
     of its parts Q + R is already stated by the resolution {P, Q, R}.
 
-    Made or replaced, a system checks its label count, then each entry's
-    nodes, fixed values and member count (ValueError), then stores its
-    `_search_plan` and its resolutions' `_readers`.
+    Made or replaced, a system checks its label count and fixed entries,
+    then `_planned` checks the other entries (ValueError) and gives its
+    `_search_plan` and `_readers`, memoised on the identity of its tuples.
     """
 
     nodes: tuple[Projector, ...]
@@ -137,12 +135,9 @@ class ConstraintSystem:
         if len(self.labels) != n:
             raise ValueError(f"labels has {len(self.labels)} entries for {n} nodes")
         _check_fixed(self.fixed, n)
-        # The plan's cache key takes True and 1.0 for 1, so types are checked here.
-        _check_indices("exclusion", self.exclusions)
-        _check_indices("resolution", self.resolutions)
-        plan = _search_plan(n, self.exclusions, self.resolutions, self.labels)
+        plan, readers = _planned(n, self.exclusions, self.resolutions, self.labels)
         object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "_readers", _readers(self.resolutions))
+        object.__setattr__(self, "_readers", readers)
 
 
 def ray_label(p: Projector) -> str | None:
@@ -190,51 +185,40 @@ def _is_index(node) -> bool:
     return isinstance(node, (int, np.integer)) and not isinstance(node, bool)
 
 
-#: Exclusion and resolution tuples whose nodes passed `_check_indices`, by
-#: id, at most 16.  A pinned copy made by ``dataclasses.replace`` shares
-#: its tuples, so it skips a scan that costs the `ks` workload a fifth of
-#: its time; holding a tuple keeps its id from being reused.
-_INDEXED: dict = {}
-
-
-def _check_indices(kind: str, groups) -> None:
-    """ValueError on an exclusion or resolution with a node that is not an
-    integer index (bools excluded); one type pass when all nodes are ints."""
-    if _INDEXED.get(id(groups)) is groups:
-        return
-    if not set(map(type, chain.from_iterable(groups))) <= {int}:
-        for members in groups:
-            if not all(map(_is_index, members)):
-                raise ValueError(f"{kind} {members!r} has a node that is not an integer")
-    if len(_INDEXED) >= 16:
-        _INDEXED.clear()
-    _INDEXED[id(groups)] = groups
-
-
 def _check_fixed(fixed, n: int) -> None:
     """ValueError on a fixed entry that is not a (node, value) pair, whose
     node is not an integer index (bools excluded) or is outside [0, n), or
-    whose value is not 0 or 1."""
+    whose value is not an integer 0 or 1 (bools excluded)."""
     for entry in fixed:
         if len(entry) != 2:
             raise ValueError(f"fixed entry {entry!r} is not a (node, value) pair")
         node, value = entry
         if not _is_index(node):
             raise ValueError(f"fixed entry {entry!r} has a node that is not an integer")
-        if not 0 <= node < n or value not in (0, 1):
+        if not 0 <= node < n or not _is_index(value) or value not in (0, 1):
             raise ValueError(
                 f"fixed entry {entry!r} needs a node in [0, {n}) and a value 0 or 1"
             )
 
 
 def _check_members(kind: str, groups, n: int) -> None:
-    """ValueError on an exclusion or resolution with no members or with a
-    node outside [0, n); `_check_indices` must have passed."""
+    """ValueError on an exclusion or resolution with no members, with a
+    node that is not an integer index (bools excluded) or is outside
+    [0, n), or on an exclusion that is not a pair."""
+    nodes = [m for members in groups for m in members]
+    sizes = set(map(len, groups))
+    if ({type(m) for m in nodes} <= {int} and (not nodes or 0 <= min(nodes) <= max(nodes) < n)
+            and 0 not in sizes and (kind != "exclusion" or sizes <= {2})):
+        return  # all well formed, seen in one pass over the nodes
     for members in groups:
         if not members:
             raise ValueError(f"{kind} {members!r} has no members")
+        if not all(map(_is_index, members)):
+            raise ValueError(f"{kind} {members!r} has a node that is not an integer")
         if not all(0 <= m < n for m in members):
             raise ValueError(f"{kind} {members!r} has a node outside [0, {n})")
+        if kind == "exclusion" and len(members) != 2:
+            raise ValueError(f"exclusion {members!r} is not a pair")
 
 
 def assemble_system(
@@ -267,7 +251,6 @@ def assemble_system(
     # The first node with an earlier match is merged, as all before it are kept.
     if len(kept) < n:
         raise ValueError("node list contains duplicates")
-    _check_indices("resolution", resolutions)
     _check_members("resolution", resolutions, n)
     return _finish(nodes, stack, fixed, resolutions)
 
@@ -381,24 +364,39 @@ class Certificate:
     search_nodes: int
 
 
-@lru_cache(maxsize=8)
+_PLANS: dict = {}  # `_planned` entries, least recently used first
+
+
+def _planned(n, exclusions, resolutions, labels):
+    """`_search_plan` and `_readers` of the 8 systems used last, memoised on
+    ``n`` and the ids of the tuples, which each entry holds so that no id
+    is reused.  A miss runs `_check_members` (ValueError) and one hash,
+    which refuses a mutable member (TypeError) that an id would not track."""
+    key = (n, id(exclusions), id(resolutions), id(labels))
+    entry = _PLANS.pop(key, None)
+    if entry is None:
+        _check_members("exclusion", exclusions, n)
+        _check_members("resolution", resolutions, n)
+        hash((exclusions, resolutions, labels))
+        plan = _search_plan(n, exclusions, resolutions, labels)
+        entry = (exclusions, resolutions, labels, plan, _readers(resolutions))
+        if len(_PLANS) >= 8:
+            del _PLANS[next(iter(_PLANS))]
+    _PLANS[key] = entry
+    return entry[3:]
+
+
 def _search_plan(n, exclusions, resolutions, labels):
     """Per-node tables of `solve` that do not depend on ``fixed``.
 
     Returns the exclusion partners of each node as (other, reason) pairs
     in exclusion order, the resolutions holding each node as (members,
     index, reason) triples in resolution order, and every node ranked by
-    descending exclusion degree, then label, then index.  A member
-    outside [0, n), or an exclusion that is not a pair, raises ValueError;
-    the system checks that every member is an integer before it plans.
+    descending exclusion degree, then label, then index.  The entries
+    must have passed `_check_members`.
     """
-    _check_members("exclusion", exclusions, n)
-    _check_members("resolution", resolutions, n)
     partners = [[] for _ in range(n)]
-    for pair in exclusions:
-        if len(pair) != 2:
-            raise ValueError(f"exclusion {pair!r} is not a pair")
-        a, b = pair
+    for a, b in exclusions:
         reason = ("exclusion", a, b)
         partners[a].append((b, reason))
         partners[b].append((a, reason))
@@ -410,7 +408,6 @@ def _search_plan(n, exclusions, resolutions, labels):
     return tuple(map(tuple, partners)), tuple(map(tuple, holding)), tuple(ranking)
 
 
-@lru_cache(maxsize=8)
 def _readers(resolutions):
     """One callable per resolution that reads its members' values, in
     member order, from a value list as one sequence.  A one-member
@@ -432,12 +429,12 @@ def solve(system: ConstraintSystem) -> Certificate:
     tie-breaker), which makes the returned trace deterministic.
 
     The per-node tables and the degree ranking come from the plan the
-    system stored when it was made, cached on (node count, exclusions,
-    resolutions, labels), the last 8 plans kept; ``fixed`` and the
-    projectors are not part of it, so systems that differ only in their
-    pins share it.  Each resolution's member values are read in one call
-    through the system's reader table, cached on the resolutions beside
-    the plan.  The search keeps its pending decisions on an explicit
+    system stored when it was made, memoised with its reader table on the
+    node count and the identity of the exclusions, resolutions and labels
+    tuples, the last 8 systems kept; ``fixed`` and the projectors are not
+    part of it, so a pinned copy that shares those tuples shares both.
+    Each resolution's member values are read in one call through the
+    reader table.  The search keeps its pending decisions on an explicit
     stack and undoes assignments from the trail, so its depth is not
     bounded by Python's recursion limit.
     """

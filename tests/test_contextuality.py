@@ -439,10 +439,13 @@ def test_proof_build_refuses_dimensions_at_the_bound(box3, monkeypatch):
         (((1.5, 1),), (), "fixed entry (1.5, 1) has a node that is not an integer"),
         ((), ((0.0, 1),), "resolution (0.0, 1) has a node that is not an integer"),
         ((), ((False, 1),), "resolution (False, 1) has a node that is not an integer"),
+        (((0, True),), (), "fixed entry (0, True) needs a node in [0, 2) and a value 0 or 1"),
+        (((0, 1.0),), (), "fixed entry (0, 1.0) needs a node in [0, 2) and a value 0 or 1"),
     ],
     ids=["node-past-end", "value-two", "negative-node", "negative-resolution",
          "empty-resolution", "fixed-single", "fixed-triple", "fixed-bool-node",
-         "fixed-float-node", "resolution-float-node", "resolution-bool-node"],
+         "fixed-float-node", "resolution-float-node", "resolution-bool-node",
+         "fixed-bool-value", "fixed-float-value"],
 )
 def test_assemble_system_rejects_bad_indices_and_values(fixed, resolutions, entry):
     p = projector_from_vectors([[1, 0]])
@@ -471,10 +474,13 @@ def sat_eight_rays():
         (((True, 0),), (), "fixed entry (True, 0) has a node that is not an integer"),
         (((1.5, 1),), (), "fixed entry (1.5, 1) has a node that is not an integer"),
         ((), ((0.0, 1, 2),), "resolution (0.0, 1, 2) has a node that is not an integer"),
+        (((1, True),), (), "fixed entry (1, True) needs a node in [0, 8) and a value 0 or 1"),
+        (((1, 1.0),), (), "fixed entry (1, 1.0) needs a node in [0, 8) and a value 0 or 1"),
     ],
     ids=["value-two", "wraps-to-last", "wraps-to-first", "node-past-end", "resolution",
          "empty-resolution", "fixed-single", "fixed-triple", "fixed-bool-node",
-         "fixed-float-node", "resolution-float-node"],
+         "fixed-float-node", "resolution-float-node", "fixed-bool-value",
+         "fixed-float-value"],
 )
 def test_replaced_system_entries_are_checked(fixed, resolutions, entry):
     # A system checks its entries when it is made, so no solve or
@@ -519,15 +525,59 @@ def test_replaced_system_exclusion_members_are_checked(planned, exclusion, messa
         dataclasses.replace(base, exclusions=base.exclusions + (exclusion,))
 
 
-def test_pinned_copies_share_one_plan():
-    system = eight_ray_system()
-    misses = _search_plan.cache_info().misses
+def test_replaced_system_refuses_a_mutable_member():
+    # The plan is memoised on the ids of the tuples, which would not see a
+    # list member change, so a system is hashable all the way down.
+    base = sat_eight_rays()
+    with pytest.raises(TypeError, match="unhashable"):
+        dataclasses.replace(base, exclusions=base.exclusions + ([2, 3],))
+
+
+def _count_planning(monkeypatch) -> list:
+    """Arguments of every `_search_plan` and `_readers` call from now on."""
+    calls = []
+    for name in ("_search_plan", "_readers"):
+        real = getattr(contextuality, name)
+        monkeypatch.setattr(contextuality, name, lambda *a, real=real: calls.append(a) or real(*a))
+    return calls
+
+
+def test_pinned_copies_share_one_plan(monkeypatch):
+    hashed = []
+
+    class Counted(tuple):
+        def __hash__(self):
+            hashed.append(len(self))
+            return tuple.__hash__(self)
+
+    base = eight_ray_system()
+    system = dataclasses.replace(
+        base, labels=Counted(base.labels), exclusions=Counted(base.exclusions),
+        resolutions=Counted(base.resolutions),
+    )
+    made = len(hashed)
+    assert made > 0  # the system's own plan hashed them once
+    calls = _count_planning(monkeypatch)
     for node in range(10):
         pinned = dataclasses.replace(system, fixed=((node % len(system.nodes), node % 2),))
         assert pinned._plan is system._plan
         assert pinned._readers is system._readers
         solve(pinned)
-    assert _search_plan.cache_info().misses == misses
+    assert calls == []
+    assert len(hashed) == made
+
+
+def test_plan_memo_keeps_eight_systems_and_replans_an_evicted_one(monkeypatch):
+    first = eight_ray_system()
+    certificate = solve(first)
+    for k in range(1, 10):
+        dataclasses.replace(first, exclusions=first.exclusions[k:])
+    assert len(contextuality._PLANS) <= 8
+    calls = _count_planning(monkeypatch)
+    pinned = dataclasses.replace(first, fixed=first.fixed)
+    assert len(calls) == 2
+    assert pinned._plan == first._plan and pinned._plan is not first._plan
+    assert solve(pinned) == certificate
 
 
 def test_assemble_system_accepts_in_range_entries():

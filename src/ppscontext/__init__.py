@@ -1,7 +1,7 @@
 """Pre/post-selected measurement analysis and mechanized noncontextuality proofs.
 
 The pipeline: compute the conditional (ABL) probabilities of a scenario,
-round them to a 0/1 logical assignment, detect paradoxes via closure
+read them as a 0/1 logical assignment, detect paradoxes via closure
 under the classical rules for commuting projectors, and convert each
 paradox into an exhaustively-checked UNSAT certificate over single-time
 measurements.

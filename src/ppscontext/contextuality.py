@@ -32,8 +32,8 @@ from .linalg import (
     EPS_ORTH, Projector, _close, _exclusions, _first_close, _meets, _orthogonal_to,
     check_projectors,
 )
-from .measurement import EPS_PROB, Pvm, Scenario, abl_probability
-from .paradox import ParadoxVerdict, logical_value
+from .measurement import EPS_PROB, Pvm, Scenario, _checked_row, _residual
+from .paradox import ParadoxVerdict
 
 # The proof build's tolerance arguments hold only below this dimension: the
 # trace window of `linalg._exclusions` ("any d up to 10^3") and the lead
@@ -69,13 +69,15 @@ def _split_complements(scenario: Scenario, ps) -> list[Decomposition]:
 
     The outcomes, of the scenario's dimension, are checked in input order
     and the first failure raises what `split_complement` raises for it
-    alone, in its order: an uncertain outcome, then r or q failing
+    alone, in its order: an uncertain outcome (a `_residual` above
+    EPS_ORTH, which no reading of 1 has), then r or q failing
     `check_projectors`, then pre r != 0, then post q != 0.
     """
     dim = scenario.dim
     pre, post = scenario.pre.matrix, scenario.post.matrix
-    comps = np.eye(dim) - np.array([p.matrix for p in ps]).reshape(-1, dim, dim)
-    residuals = np.abs(post @ comps @ pre).max(axis=(1, 2))
+    stack = np.array([p.matrix for p in ps]).reshape(-1, dim, dim)
+    comps = np.eye(dim) - stack
+    residuals = _residual(pre, post, post @ stack @ pre)
     rs, r_ranks, r_errors = _meets(comps, (np.eye(dim) - pre)[None])
     qs = comps - rs
     q_ranks, q_errors = check_projectors(qs)
@@ -329,8 +331,8 @@ def build_constraint_system(
 ) -> ConstraintSystem:
     """Constraint system of a verified paradox, per the refinement above.
 
-    A PVM's certain outcome is its first element whose ``verdict.table``
-    entry rounds to 1; a PVM with no entries has none.  Raises NotAParadox
+    A PVM's certain outcome is its element that ``verdict.table.certain``
+    reads as 1; a PVM with no such reading has none.  Raises NotAParadox
     unless the verdict is a paradox, and NonorthogonalityRequired when
     Tr(post pre) vanishes: only nonorthogonal selections can both be 1.
     """
@@ -340,10 +342,10 @@ def build_constraint_system(
         raise NonorthogonalityRequired(
             "pre- and post-selection projectors are orthogonal"
         )
-    rounded = {key: logical_value(p) for key, p in verdict.table.entries.items()}
-    ones = ([e for k, e in enumerate(pvm.elements) if rounded.get((pvm.name, k)) == 1]
-            for pvm in scenario.measurements)
-    return _selection_system(scenario, [found[0] for found in ones if found])
+    certain = verdict.table.certain
+    ones = [e for pvm in scenario.measurements for k, e in enumerate(pvm.elements)
+            if certain.get((pvm.name, k)) == 1]
+    return _selection_system(scenario, ones)
 
 
 @dataclass(frozen=True)
@@ -530,20 +532,20 @@ def check_assignment(system: ConstraintSystem, values) -> bool:
 
 
 def verify_forced_value(scenario: Scenario, pvm: Pvm, k: int) -> bool:
-    """Check that an extremal conditional probability is forced on every
-    admissible noncontextual assignment.
+    """Check that an outcome's 0/1 reading (`measurement._abl_row`) is
+    forced on every admissible noncontextual assignment.
 
-    With ``certain`` the element itself when its probability is 1 and its
-    complement when it is 0, the single-PVM system is the module's
-    construction for ``certain`` alone, with the element pinned to the
-    opposite of its extremal value; the value is forced iff `solve` finds
-    that UNSAT.  For probability 0 the resolution {certain, Q, R} forces
-    ``certain`` to 1, and the element, orthogonal to it, to 0.  Raises
-    PreconditionViolated when the conditional probability is not extremal.
+    With ``certain`` the element itself when it reads 1 and its complement
+    when it reads 0, the single-PVM system is the module's construction
+    for ``certain`` alone, with the element pinned to the opposite of its
+    reading; the value is forced iff `solve` finds that UNSAT.  For a 0
+    the resolution {certain, Q, R} forces ``certain`` to 1, and the
+    element, orthogonal to it, to 0.  Raises PreconditionViolated when the
+    outcome has no reading, and what `abl_probability` raises otherwise.
     """
-    value = abl_probability(scenario, pvm, k)
-    target = logical_value(value)
-    if target is None:
+    _, probabilities, readings = _checked_row(scenario, pvm, k)
+    if (target := readings.get(k)) is None:
+        value = probabilities[k].item()
         raise PreconditionViolated(f"conditional probability {value!r} not extremal")
     element = pvm.elements[k]
     certain = element if target == 1 else element.complement()

@@ -26,7 +26,7 @@ from .errors import (
     NoAcceptedRuns,
     ZeroProbabilityOutcome,
 )
-from .linalg import EPS_PROJ, Operator, Projector, _close, _orthogonal_to
+from .linalg import EPS_ORTH, EPS_PROJ, Operator, Projector, _close, _orthogonal_to
 
 #: Tolerance for probability comparisons (normalization, zero denominators),
 #: far above the d^2 * 1e-16 that the traces of d x d products round by.
@@ -128,26 +128,63 @@ class AblTable:
 
     ``entries`` maps (pvm name, element index) to a probability;
     ``postselection_weights`` maps each pvm name to the ABL denominator
-    divided by Tr(pre).  PVMs whose denominator vanishes are recorded
+    divided by Tr(pre); ``certain`` maps each entry that `_abl_row` reads
+    as 0 or 1 to that value.  PVMs whose denominator vanishes are recorded
     with weight 0.0 and contribute no entries.
     """
 
     entries: dict[tuple[str, int], float]
     postselection_weights: dict[str, float]
+    certain: dict[tuple[str, int], int]
 
 
-def _abl_row(scenario: Scenario, pvm: Pvm) -> tuple[float, np.ndarray] | None:
-    """The ABL denominator of ``pvm`` and its outcome probabilities, or
-    None when the denominator is zero relative to Tr(pre) Tr(post)."""
+def _residual(pre: np.ndarray, post: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """c = max |post (I - P) pre| = max |post pre - amp| for each amp = post P pre
+    in ``amps``, one product or a stack of them."""
+    return np.abs(post @ pre - amps).max(axis=(-2, -1))
+
+
+def _abl_row(scenario: Scenario, pvm: Pvm) -> tuple[float, np.ndarray, dict[int, int]] | None:
+    """The ABL denominator of ``pvm``, its outcome probabilities and the
+    readings {k: 0 or 1} of its certain outcomes, or None when the
+    denominator is zero relative to Tr(pre) Tr(post).
+
+    With a_k = max |post P_k pre| and c_k from `_residual`, outcome k
+    reads 0 iff a_k <= EPS_ORTH, and 1 iff it alone has a_k > EPS_ORTH and
+    c_k <= EPS_ORTH, the split's precondition.  c_k alone is not enough:
+    three-box's basis {e_0, e_1, e_2} has amplitudes (1/3, 1/3, -1/3), so
+    c_0 = c_1 = 0.  A row past the gate has some a_k > EPS_ORTH when
+    d < MAX_DIMENSION = 1000: else its denominator,
+    sum_k ||post P_k pre||_F^2 <= d^3 max_k a_k^2, would be below EPS_PROB.
+    """
     pre = scenario.pre.matrix
     post = scenario.post.matrix
     pks = pvm.stack
-    terms = np.maximum(np.trace(post @ pks @ pre @ pks, axis1=1, axis2=2).real, 0.0)
+    amps = post @ pks @ pre
+    terms = np.maximum(np.trace(amps @ pks, axis1=1, axis2=2).real, 0.0)
     den = float(terms.sum())
     if den <= EPS_PROB * scenario.pre.rank * scenario.post.rank:
         return None
+    a = np.abs(amps).max(axis=(1, 2)).tolist()
+    live = [k for k, a_k in enumerate(a) if a_k > EPS_ORTH]
+    readings = {k: 0 for k, a_k in enumerate(a) if a_k <= EPS_ORTH}
+    if len(live) == 1 and _residual(pre, post, amps[live[0]]) <= EPS_ORTH:
+        readings[live[0]] = 1
     # Terms are clamped nonnegative, so the ratios already sit in [0, 1].
-    return den, terms / den
+    return den, terms / den, readings
+
+
+def _checked_row(scenario: Scenario, pvm: Pvm, k: int):
+    """`_abl_row` of ``pvm``, raising what `abl_probability` raises."""
+    if pvm.dim != scenario.dim:
+        raise DimensionMismatch("PVM dimension does not match scenario")
+    if not 0 <= k < len(pvm.elements):
+        raise IndexError(f"element index {k} out of range for PVM {pvm.name!r}")
+    if (row := _abl_row(scenario, pvm)) is None:
+        raise ImpossiblePostselection(
+            f"post-selection never succeeds after measuring {pvm.name!r}"
+        )
+    return row
 
 
 def abl_probability(scenario: Scenario, pvm: Pvm, k: int) -> float:
@@ -158,33 +195,26 @@ def abl_probability(scenario: Scenario, pvm: Pvm, k: int) -> float:
     sum_j Tr(post P_j pre P_j) is zero relative to Tr(pre) Tr(post),
     i.e. the post-selection can never succeed after this measurement.
     """
-    if pvm.dim != scenario.dim:
-        raise DimensionMismatch("PVM dimension does not match scenario")
-    if not 0 <= k < len(pvm.elements):
-        raise IndexError(f"element index {k} out of range for PVM {pvm.name!r}")
-    row = _abl_row(scenario, pvm)
-    if row is None:
-        raise ImpossiblePostselection(
-            f"post-selection never succeeds after measuring {pvm.name!r}"
-        )
-    return float(row[1][k])
+    return float(_checked_row(scenario, pvm, k)[1][k])
 
 
 def abl_table(scenario: Scenario) -> AblTable:
-    """Batch `abl_probability` over every PVM and outcome of the scenario."""
+    """Batch `_abl_row` over every PVM and outcome of the scenario."""
     entries: dict[tuple[str, int], float] = {}
     weights: dict[str, float] = {}
+    certain: dict[tuple[str, int], int] = {}
     tr_pre = float(np.trace(scenario.pre.matrix).real)
     for pvm in scenario.measurements:
         row = _abl_row(scenario, pvm)
         if row is None:
             weights[pvm.name] = 0.0
             continue
-        den, probabilities = row
+        den, probabilities, readings = row
         weights[pvm.name] = den / tr_pre
         for k, p in enumerate(probabilities):
             entries[(pvm.name, k)] = float(p)
-    return AblTable(entries=entries, postselection_weights=weights)
+        certain.update({(pvm.name, k): value for k, value in readings.items()})
+    return AblTable(entries=entries, postselection_weights=weights, certain=certain)
 
 
 def luders_update(rho: Operator, p: Projector) -> Operator:

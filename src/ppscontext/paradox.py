@@ -1,9 +1,9 @@
 """Logical paradox detection for pre/post-selected scenarios.
 
-A scenario is *logical* when every conditional probability is 0 or 1;
-it is a *logical paradox* when the induced 0/1 value assignment on
-projectors cannot be extended consistently under the classical rules
-for commuting projectors:
+A scenario is *logical* when `measurement._abl_row` reads every
+conditional probability as 0 or 1; it is a *logical paradox* when the
+induced 0/1 value assignment on projectors cannot be extended
+consistently under the classical rules for commuting projectors:
 
     ac0:  0 <= v(P) <= 1
     ac1:  v(I - P) = 1 - v(P)
@@ -27,19 +27,6 @@ from .linalg import (
     EPS_ORTH, Projector, _chunk_len, _chunks, _close, _first_close, check_projectors, commutes,
 )
 from .measurement import AblTable, Scenario, abl_table
-
-#: Tolerance for rounding conditional probabilities to 0/1; looser than
-#: EPS_PROB because values near certainty degrade with conditioning.
-EPS_LOGIC = 1e-7
-
-
-def logical_value(probability: float) -> int | None:
-    """The 0/1 value within EPS_LOGIC of ``probability`` (1 first), or None."""
-    for value in (1, 0):
-        if abs(probability - value) <= EPS_LOGIC:
-            return value
-    return None
-
 
 PROV_ABL = "abl-direct"
 PROV_CLOSURE = "closure-derived"
@@ -225,11 +212,11 @@ class ParadoxVerdict:
 
     ``is_paradox`` implies ``is_logical``, a nonempty ``violations`` and a
     ``table``, the ABL table the verdict was read from: the proof build
-    reads each measurement's certain outcome there, and reads nothing else
-    of the verdict.  ``pre_post_overlap`` records Tr(post pre); the proof
-    machinery requires it to be positive.
+    reads each measurement's certain outcome in ``table.certain``, and
+    reads nothing else of the verdict.  ``pre_post_overlap`` records
+    Tr(post pre); the proof machinery requires it to be positive.
 
-    ``assignment`` is the rounded store when the closure found the
+    ``assignment`` is the store of the readings when the closure found the
     paradox, an empty store for an assignment conflict or a table that is
     not logical, and the closure's extension otherwise.
     """
@@ -250,38 +237,37 @@ class ParadoxVerdict:
 def logical_assignment(
     table: AblTable, scenario: Scenario
 ) -> LogicalAssignment | NotLogical | Violation:
-    """Round a table of conditional probabilities to a 0/1 assignment.
+    """The 0/1 assignment of the table's readings, ``table.certain``.
 
-    Returns NotLogical naming the offending entries when any probability
-    is farther than EPS_LOGIC from both 0 and 1.  PVMs with zero
-    post-selection weight contribute no entries.  In the rare case where
-    one projector receives 0 in one PVM and 1 in another, the conflict is
-    returned as a Violation, citing the stored match (the element itself
-    for an ac2 constant) and the element, rather than stored.
+    Returns NotLogical naming the entries without a reading and their
+    probabilities.  PVMs with zero post-selection weight have no entries.
+    One projector may read 0 in one PVM and 1 in another, as the readings
+    bound max entries, not amplitudes; that conflict is returned as a
+    Violation, citing the stored match (the element itself for an ac2
+    constant) and the element, rather than stored.
     """
-    logical = {key: logical_value(p) for key, p in table.entries.items()}
-    offending = [(*key, table.entries[key]) for key, v in logical.items() if v is None]
+    offending = [(*key, p) for key, p in table.entries.items() if key not in table.certain]
     if offending:
         return NotLogical(tuple(sorted(offending)))
 
     assignment = LogicalAssignment(scenario.dim)
     for pvm in scenario.measurements:
         for k, element in enumerate(pvm.elements):
-            rounded = logical.get((pvm.name, k))
-            if rounded is None:
+            value = table.certain.get((pvm.name, k))
+            if value is None:
                 continue
-            existing = assignment.setdefault(element, rounded, PROV_ABL)
-            if existing != rounded:
+            existing = assignment.setdefault(element, value, PROV_ABL)
+            if existing != value:
                 slot = assignment.find(element)
                 stored = element if slot is None else assignment.projector(slot)
                 return Violation(
                     conditions=("assignment-conflict",),
                     projectors=(stored, element),
-                    values=(float(existing), float(rounded)),
-                    derived=float(rounded),
+                    values=(float(existing), float(value)),
+                    derived=float(value),
                     description=(
                         f"projector receives value {existing} in one context "
-                        f"and {rounded} in {pvm.name!r}"
+                        f"and {value} in {pvm.name!r}"
                     ),
                 )
     return assignment
@@ -475,7 +461,7 @@ def closure_extend(
 
 
 def detect_paradox(scenario: Scenario, depth: int = 3) -> ParadoxVerdict:
-    """Full pipeline: ABL table -> 0/1 rounding -> closure.
+    """Full pipeline: ABL table with 0/1 readings -> assignment -> closure.
 
     Raises ImpossiblePostselection when every PVM of the scenario has
     zero post-selection weight, and ValueError for a negative ``depth``.
@@ -509,8 +495,6 @@ def detect_paradox(scenario: Scenario, depth: int = 3) -> ParadoxVerdict:
 
 
 __all__ = [
-    "EPS_LOGIC",
-    "logical_value",
     "PROV_ABL",
     "PROV_CLOSURE",
     "ProjectorIndex",

@@ -36,7 +36,7 @@ from ppscontext.measurement import (
     abl_table,
     simulate_frequencies,
 )
-from ppscontext.paradox import EPS_LOGIC, detect_paradox
+from ppscontext.paradox import detect_paradox
 from ppscontext.scenarios import eight_ray_system, three_box
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "three_box.dot"
@@ -198,10 +198,7 @@ def test_criterion_7_forced_values_everywhere(corpus):
             table = abl_table(scenario)
             for pvm in scenario.measurements:
                 for k in range(len(pvm.elements)):
-                    value = table.entries.get((pvm.name, k))
-                    if value is None:
-                        continue
-                    if min(abs(value), abs(value - 1.0)) > EPS_LOGIC:
+                    if (pvm.name, k) not in table.certain:
                         continue
                     assert verify_forced_value(scenario, pvm, k)
                     checked += 1

@@ -34,7 +34,7 @@ from ppscontext.linalg import (
     projector_from_vectors,
     projectors_close,
 )
-from ppscontext.paradox import ProjectorIndex, detect_paradox, logical_value
+from ppscontext.paradox import ProjectorIndex, detect_paradox
 from ppscontext.scenarios import three_box
 from test_assembly_parity import reference_exclusions
 from test_closure_parity import pigeonhole
@@ -199,9 +199,9 @@ def test_forced_value_systems_match_per_outcome_reference(name, scenario, verdic
     built = 0
     for pvm in scenario.measurements:
         for k, element in enumerate(pvm.elements):
-            if (pvm.name, k) not in verdict.table.entries:
+            target = verdict.table.certain.get((pvm.name, k))
+            if target is None:
                 continue
-            target = logical_value(verdict.table.entries[(pvm.name, k)])
             certain = element if target == 1 else projector_complement(element)
             pins = ((element, 1 - target),)
             system = _selection_system(scenario, (certain,), pins)

@@ -45,6 +45,10 @@ GOLDEN_REPORTS = [
      "three_box_detect_depth0.txt"),
     # pre |0>, post |+>, Y basis: both outcomes 1/2, so not logical
     (("detect", "--file", str(GOLDEN_DIR / "y_basis.json")), 2, "y_basis_detect.txt"),
+    # three-box with pre on (1, 1, 1 + 1e-5): p(E1[0]) reads 0.9999999999, but
+    # post (I - E1[0]) pre is 1.11e-6, above EPS_ORTH, so not logical
+    (("detect", "--file", str(GOLDEN_DIR / "tilted_three_box.json")), 2,
+     "tilted_three_box_detect.txt"),
     (("simulate", "--builtin", "three-box", "--pvm", "E1", "--samples", "1000000",
       "--seed", "42"), 0, "three_box_simulate.txt"),
 ]
@@ -353,23 +357,15 @@ def test_prove_on_non_paradox_errors(tmp_path, capsys):
     assert "error NotAParadox" in err
 
 
-def test_prove_on_near_certain_paradox_errors(tmp_path, capsys):
-    # detect reads a paradox within EPS_LOGIC; prove refuses its build.
-    from ppscontext.linalg import projector_from_vectors
-    from ppscontext.measurement import Scenario
-
-    box = three_box()
-    pre = projector_from_vectors([[1, 1, 1 + 1e-5]])
-    path = tmp_path / "near.json"
-    save_scenario(Scenario(3, pre, box.post, box.measurements), path)
-    assert run(capsys, "detect", "--file", str(path))[0] == 0
-    code, out, err = run(capsys, "prove", "--file", str(path))
+def test_prove_on_near_certain_scenario_is_not_a_paradox(capsys):
+    # Its outcomes are certain within 1e-7 but not within EPS_ORTH: detect
+    # reads no paradox, so prove has none to build.
+    path = str(GOLDEN_DIR / "tilted_three_box.json")
+    assert run(capsys, "detect", "--file", path)[0] == 2
+    code, out, err = run(capsys, "prove", "--file", path)
     assert code == 1
     assert out == ""
-    assert err == (
-        "error PreconditionViolated: post (I-p) pre has max entry 1.11e-06; "
-        "the outcome is not certain under the selections\n"
-    )
+    assert err == "error NotAParadox: constraint systems are built from verified paradoxes\n"
 
 
 def test_detect_computes_the_abl_table_once(monkeypatch, capsys):

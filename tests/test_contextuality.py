@@ -38,8 +38,8 @@ from ppscontext.linalg import (
     projectors_close,
     zero_projector,
 )
-from ppscontext.measurement import Pvm, Scenario, abl_probability
-from ppscontext.paradox import EPS_LOGIC, detect_paradox
+from ppscontext.measurement import Pvm, Scenario, abl_probability, abl_table
+from ppscontext.paradox import detect_paradox
 from ppscontext.scenarios import eight_ray_system, three_box
 
 CORPUS = paradox_corpus(seed=515, count=8)
@@ -328,12 +328,12 @@ def test_verify_forced_value_three_box(box3):
 def test_verify_forced_value_on_corpus_both_targets(box3):
     counts = {0: 0, 1: 0}
     for scenario in [box3, *CORPUS]:
+        certain = abl_table(scenario).certain
         for pvm in scenario.measurements:
             for k in range(len(pvm.elements)):
-                p = abl_probability(scenario, pvm, k)
-                if abs(p - 1) > EPS_LOGIC and abs(p) > EPS_LOGIC:
+                if (pvm.name, k) not in certain:
                     continue
-                counts[round(p)] += 1
+                counts[certain[(pvm.name, k)]] += 1
                 assert verify_forced_value(scenario, pvm, k)
     assert counts[0] > 0 and counts[1] > 0
 
@@ -742,7 +742,8 @@ def conflict_verdict(monkeypatch, e3_elements):
     entries = {("E1", 0): 1.0, ("E1", 1): 0.0, ("E2", 0): 1.0, ("E2", 1): 0.0,
                ("E3", 0): 0.0, ("E3", 1): 1.0}
     weights = dict.fromkeys(["E1", "E2", "E3"], 1.0)
-    table = AblTable(entries=entries, postselection_weights=weights)
+    certain = {key: int(p) for key, p in entries.items()}
+    table = AblTable(entries=entries, postselection_weights=weights, certain=certain)
     monkeypatch.setattr(paradox, "abl_table", lambda _: table)
     verdict = detect_paradox(scenario)
     assert verdict.is_paradox and verdict.table is table
@@ -786,17 +787,53 @@ def test_assignment_conflict_cites_the_stored_and_the_incoming_element(monkeypat
     assert recheck_violation(violation)
 
 
+def tilted_three_box(tilt):
+    """Three-box with the pre-selection on (1, 1, 1 + tilt)."""
+    return dataclasses.replace(three_box(), pre=projector_from_vectors([[1, 1, 1 + tilt]]))
+
+
 @pytest.mark.parametrize("tilt, entry", [(1e-4, "1.11e-05"), (1e-5, "1.11e-06"),
                                          (1e-6, "1.11e-07")])
-def test_near_certain_paradox_build_is_refused_with_its_reason(tilt, entry):
-    # The ABL entries round to 0/1 within EPS_LOGIC, so detect finds the
-    # paradox, but post (I - p) pre exceeds EPS_ORTH: the outcome is certain
-    # only within the looser tolerance, and the build names that reason.
-    box = three_box()
-    scenario = dataclasses.replace(box, pre=projector_from_vectors([[1, 1, 1 + tilt]]))
+def test_near_certain_outcome_is_not_logical_and_its_split_is_refused(tilt, entry):
+    # The ABL entries lie within 1e-7 of 0 or 1, but post (I - p) pre
+    # exceeds EPS_ORTH, so detect reads no certain outcome and prove has
+    # nothing to build; the split's own check still names the reason.
+    scenario = tilted_three_box(tilt)
     verdict = detect_paradox(scenario)
-    assert verdict.is_paradox
+    assert not verdict.is_logical and not verdict.is_paradox
+    assert all(min(p, 1 - p) < 1e-7 for _, _, p in verdict.non_extremal)
+    with pytest.raises(NotAParadox):
+        build_constraint_system(scenario, verdict)
     with pytest.raises(PreconditionViolated, match=re.escape(
         f"post (I-p) pre has max entry {entry}; the outcome is not certain under the selections"
     )):
-        build_constraint_system(scenario, verdict)
+        split_complement(scenario, scenario.measurements[0].elements[0])
+
+
+TILTS = [1e-10, 3e-9, 1e-8, 1e-6, 1e-5, 1e-4, 3e-4, 1e-3]
+
+
+@pytest.mark.parametrize("family", ["tilted", "corpus-601", "pigeonhole"])
+def test_no_paradox_verdict_has_a_refused_build(family):
+    # One certainty rule: every outcome detect reads as certain passes the
+    # split's check, so a paradox's build never raises PreconditionViolated.
+    from test_closure_parity import pigeonhole
+
+    scenarios = {
+        "tilted": lambda: [tilted_three_box(t) for t in TILTS],
+        "corpus-601": lambda: paradox_corpus(601, 60),
+        "pigeonhole": lambda: [pigeonhole(n) for n in (3, 4, 5)],
+    }[family]()
+    statuses = []
+    for scenario in scenarios:
+        verdict = detect_paradox(scenario)
+        statuses.append(
+            solve(build_constraint_system(scenario, verdict)).status
+            if verdict.is_paradox else "logical" if verdict.is_logical else "not logical"
+        )
+    expected = {
+        "tilted": ["UNSAT"] * 2 + ["not logical"] * 6,
+        "corpus-601": ["UNSAT"] * 60,
+        "pigeonhole": ["SAT"] * 3,
+    }[family]
+    assert statuses == expected

@@ -373,8 +373,9 @@ def test_logical_assignment_rejects_uniform_entries(box3):
     scenario = Scenario(3, box3.pre, box3.post, box3.measurements + (pvm,))
     result = logical_assignment(abl_table(scenario), scenario)
     assert isinstance(result, NotLogical)
-    offending_names = {name for name, _, _ in result.offending}
-    assert offending_names == {"B"}
+    # All three: post (I - P_k) pre vanishes for k = 0, 1 (the amplitudes
+    # are 1/3, 1/3, -1/3), but no outcome is the only one that overlaps.
+    assert [(name, k) for name, k, _ in result.offending] == [("B", 0), ("B", 1), ("B", 2)]
     assert all(abs(v - 1 / 3) < 1e-9 for _, _, v in result.offending)
 
 
@@ -405,6 +406,22 @@ def test_rounding_skips_a_pvm_with_zero_postselection_weight():
     assert verdict.table.entries == {("B", 0): 1.0, ("B", 1): 0.0}
     assert all(verdict.assignment.value_of(e) is None for e in a.elements)
     assert len(verdict.assignment) == 2
+
+
+def test_a_pvm_with_a_tiny_overlap_is_gated_not_read_as_certain():
+    # post (I - P) pre is below EPS_ORTH for all three outcomes, as every
+    # amplitude carries the 1e-10 overlap; the denominator, about 1e-20, is
+    # gated, so no outcome is read and detect has no PVM to read at all.
+    pre = basis_proj(3, 0)
+    post = projector_from_vectors([[1e-10, 0, 1]])
+    pvm = Pvm("T", (projector_from_vectors([[1, 1, 0]]), projector_from_vectors([[1, -1, 0]]),
+                    basis_proj(3, 2)))
+    scenario = Scenario(3, pre, post, (pvm,))
+    table = abl_table(scenario)
+    assert table.entries == {} and table.certain == {}
+    assert table.postselection_weights == {"T": 0.0}
+    with pytest.raises(ImpossiblePostselection):
+        detect_paradox(scenario)
 
 
 def test_closure_derives_three_box_violation():

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -146,6 +146,11 @@ def projector_from_vectors(vs: Iterable) -> Projector:
     empty input raises ValueError, and vectors of different lengths raise
     DimensionMismatch.
     """
+    return Projector(_span_of(vs))
+
+
+def _span_of(vs: Iterable) -> np.ndarray:
+    """Matrix of `projector_from_vectors`, with its checks, not yet validated."""
     columns = []
     for v in vs:
         v = np.asarray(v, dtype=complex).reshape(-1)
@@ -165,19 +170,31 @@ def projector_from_vectors(vs: Iterable) -> Projector:
     for v in columns[1:]:
         if v.size != dim:
             raise DimensionMismatch(f"vector dims differ: {dim} vs {v.size}")
-    return _span_projector(np.column_stack(columns))
+    return _range_matrix(np.column_stack(columns))
 
 
-def _span_projector(a: np.ndarray) -> Projector:
-    """Projector onto the column space of ``a``, cut at EPS_RANK s_max.
-    If s_max overflows, ``a`` is scaled by the exact power of two that
-    brings its largest real or imaginary component into [0.5, 1)."""
+def _range_matrix(a: np.ndarray) -> np.ndarray:
+    """Projector matrix onto the column space of ``a``, cut at EPS_RANK
+    s_max, not yet validated.  If s_max overflows, ``a`` is scaled by the
+    exact power of two that brings its largest real or imaginary component
+    into [0.5, 1)."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if not math.isfinite(s[0]):
         _, exp = np.frexp(max(max_abs(a.real), max_abs(a.imag)))
         u, s, _ = np.linalg.svd(a * 2.0 ** -int(exp), full_matrices=False)
     basis = u[:, : int(np.count_nonzero(s > EPS_RANK * s[0]))]
-    return Projector(basis @ basis.conj().T)
+    return basis @ basis.conj().T
+
+
+def _projectors(stack: np.ndarray) -> Iterator[Projector]:
+    """The projectors of a (k, d, d) stack, validated by one
+    ``check_projectors`` call, in order; the first matrix that fails
+    raises its NotAProjector when it is reached."""
+    ranks, errors = check_projectors(stack)
+    for matrix, rank, error in zip(stack, ranks, errors):
+        if error is not None:
+            raise NotAProjector(error)
+        yield Projector._checked(matrix, rank)
 
 
 def _orthogonal_to(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -226,7 +243,7 @@ def range_projector(a) -> Projector:
     Singular values below EPS_RANK relative to the largest one are treated
     as zero, so the zero operator maps to the zero projector.
     """
-    return _span_projector(a.matrix if isinstance(a, Operator) else Operator(a).matrix)
+    return Projector(_range_matrix(a.matrix if isinstance(a, Operator) else Operator(a).matrix))
 
 
 def projectors_close(p: Projector, q: Projector) -> bool:

@@ -15,23 +15,34 @@ and a document is
 
 Vectors may be left unnormalized.  A measurement name is a printable
 string without "=".
+
+A document is loaded in one pass: every state spec is parsed, each span
+or matrix in one numpy step, and then all the matrices of the document are
+validated as one stack.  The fault reported is the first in document
+order, the same one a walk that checked each state and measurement as it
+reached it would report.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .contextuality import MAX_DIMENSION, ConstraintSystem, assemble_system
 from .errors import NotAScenario, ParseError, ToolError, UnknownBuiltin
-from .linalg import Projector, projector_from_vectors
+from .linalg import Projector, _projectors, _span_of, projector_from_vectors
 from .measurement import Pvm, Scenario
 
 THREE_BOX = "three-box"
 CLIFTON_RAYS = "clifton-rays"
+# The leaves a [re, im] pair accepts: ints and floats, by type() so that
+# JSON true and false (ints) do not pass, at most _FLOAT_MAX in size so that
+# NaN, Infinity and integers beyond the float range do not pass.
+_NUMBER_TYPES = frozenset({int, float})
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -42,6 +53,9 @@ def three_box() -> Scenario:
     and post-selected on |1> + |2> - |3>; the intermediate measurement
     either checks box 1 or checks box 2.
     """
+    # Built one projector at a time through the public constructor: the
+    # traced self-test in perfbench/ reads a `linalg.Projector` span on
+    # the three-box proof.
     pre = projector_from_vectors([[1, 1, 1]])
     post = projector_from_vectors([[1, 1, -1]])
     p1 = projector_from_vectors([[1, 0, 0]])
@@ -74,7 +88,8 @@ def eight_ray_system() -> ConstraintSystem:
         [1, 0, 1],
         [1, 0, -1],
     ]
-    nodes = [projector_from_vectors([r]) for r in rays]
+    # The rays' projectors, validated as one stack.
+    nodes = list(_projectors(np.stack([_span_of([r]) for r in rays])))
     return assemble_system(
         nodes,
         fixed=((0, 1), (1, 1)),
@@ -87,17 +102,41 @@ BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def _complex_scalar(value, where: str) -> complex:
-    # type(), not isinstance: JSON true and false load as ints.  NaN,
-    # Infinity and integers beyond the float range fail the bound.
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(type(x) in (int, float) and abs(x) <= _FLOAT_MAX for x in value)
+        or not all(type(x) in _NUMBER_TYPES and abs(x) <= _FLOAT_MAX for x in value)
     ):
         raise ParseError(
             f"{where}: expected a [re, im] pair of finite numbers, got {value!r}"
         )
     return complex(value[0], value[1])
+
+
+def _complex_array(rows: list, dim: int) -> np.ndarray | None:
+    """``rows``, a list of lists of ``dim`` [re, im] pairs, as a complex
+    array in one numpy step, or None if the step cannot vouch for it.  It
+    vouches only for rows that are lists, pairs that are lists or tuples,
+    int and float leaves (not bool) and entries below the float maximum in
+    size; each entry is then ``complex(re, im)`` bit for bit.  The walk
+    decides everything else."""
+    if set(map(type, rows)) != {list}:
+        return None
+    pairs = list(chain.from_iterable(rows))
+    if not set(map(type, pairs)) <= {list, tuple}:
+        return None
+    if not set(map(type, chain.from_iterable(pairs))) <= _NUMBER_TYPES:
+        return None
+    try:
+        array = np.array(rows, dtype=float)
+    except (ValueError, OverflowError):  # a ragged nesting, an int beyond the float range
+        return None
+    # Strictly below the bound: float() rounds an int just above _FLOAT_MAX
+    # down to it, so an entry equal to it may stand for an int the walk
+    # refuses, and the walk decides it.
+    if array.shape != (len(rows), dim, 2) or not (np.abs(array) < _FLOAT_MAX).all():
+        return None
+    return array.view(complex)[..., 0]
 
 
 def _complex_vector(value, dim: int, where: str) -> np.ndarray:
@@ -110,7 +149,18 @@ def _complex_vector(value, dim: int, where: str) -> np.ndarray:
     )
 
 
-def _state_projector(spec, dim: int, where: str) -> Projector:
+def _complex_rows(rows: list, dim: int, where: str) -> np.ndarray:
+    fast = _complex_array(rows, dim)
+    if fast is not None:
+        return fast
+    return np.array(
+        [_complex_vector(row, dim, f"{where}[{i}]") for i, row in enumerate(rows)]
+    )
+
+
+def _parse_state(spec, dim: int, where: str) -> tuple[str, str, np.ndarray]:
+    """(where, kind, matrix) of a state spec, not yet validated: a span's
+    `projector_from_vectors` matrix, or the explicit projector matrix."""
     if not isinstance(spec, dict):
         raise ParseError(f"{where}: expected an object with one of "
                          "'vector', 'span', 'projector'")
@@ -120,33 +170,76 @@ def _state_projector(spec, dim: int, where: str) -> Projector:
             f"{where}: exactly one of 'vector', 'span', 'projector' is required"
         )
     kind = kinds[0]
-    try:
-        if kind == "vector":
-            return projector_from_vectors([_complex_vector(spec[kind], dim, f"{where}.vector")])
-        if kind == "span":
-            if not isinstance(spec[kind], list) or not spec[kind]:
-                raise ParseError(f"{where}.span: expected a nonempty list of vectors")
-            vectors = [
-                _complex_vector(v, dim, f"{where}.span[{i}]")
-                for i, v in enumerate(spec[kind])
-            ]
-            return projector_from_vectors(vectors)
-        matrix = spec[kind]
-        if not isinstance(matrix, list) or len(matrix) != dim:
+    value = spec[kind]
+    if kind == "projector":
+        if not isinstance(value, list) or len(value) != dim:
             raise ParseError(f"{where}.projector: expected a {dim}x{dim} matrix")
-        rows = [
-            _complex_vector(row, dim, f"{where}.projector[{i}]")
-            for i, row in enumerate(matrix)
-        ]
-        return Projector(np.array(rows))
-    except ParseError:
-        raise
+        return where, kind, _complex_rows(value, dim, f"{where}.projector")
+    if kind == "vector":
+        vectors = _complex_vector(value, dim, f"{where}.vector")[None]
+    elif not isinstance(value, list) or not value:
+        raise ParseError(f"{where}.span: expected a nonempty list of vectors")
+    else:
+        vectors = _complex_rows(value, dim, f"{where}.span")
+    try:
+        return where, kind, _span_of(vectors)
     except ToolError as exc:
         raise ParseError(f"{where}.{kind}: {exc}") from exc
 
 
+def _parse_states(doc, dim: int) -> tuple[list, ParseError | None]:
+    """The states and measurements of ``doc`` as build steps in document
+    order, and the first ParseError of the walk, where the walk stops, or
+    None.  A step is `_parse_state`'s triple or, after a measurement's
+    outcomes, (where, "pvm", (name, number of outcomes))."""
+    steps = []
+    try:
+        steps.append(_parse_state(doc["pre"], dim, "pre"))
+        steps.append(_parse_state(doc["post"], dim, "post"))
+        if not isinstance(doc["measurements"], list) or not doc["measurements"]:
+            raise ParseError("measurements: expected a nonempty list")
+        for i, entry in enumerate(doc["measurements"]):
+            where = f"measurements[{i}]"
+            if not isinstance(entry, dict):
+                raise ParseError(f"{where}: expected an object")
+            name = entry.get("name")
+            if not isinstance(name, str) or not name:
+                raise ParseError(f"{where}.name: expected a nonempty string")
+            outcomes = entry.get("outcomes")
+            if not isinstance(outcomes, list) or len(outcomes) < 2:
+                raise ParseError(f"{where}.outcomes: expected a list of >= 2 state specs")
+            for j, spec in enumerate(outcomes):
+                steps.append(_parse_state(spec, dim, f"{where}.outcomes[{j}]"))
+            steps.append((where, "pvm", (name, len(outcomes))))
+    except ParseError as fault:
+        return steps, fault
+    return steps, None
+
+
+def _build(steps: list) -> tuple[list[Projector], list[Pvm]]:
+    """The projectors and PVMs of parsed steps, in document order: the
+    matrices are validated as one ``check_projectors`` stack, and the first
+    fault of the steps in order raises as ParseError."""
+    matrices = [data for _, kind, data in steps if kind != "pvm"]
+    checked = _projectors(np.stack(matrices)) if matrices else iter(())
+    projectors, pvms = [], []
+    for where, kind, data in steps:
+        try:
+            if kind == "pvm":
+                name, count = data
+                pvms.append(Pvm(name, tuple(projectors[-count:])))
+            else:
+                projectors.append(next(checked))
+        except (ToolError, ValueError) as exc:
+            raise ParseError(
+                f"{where}: {exc}" if kind == "pvm" else f"{where}.{kind}: {exc}"
+            ) from exc
+    return projectors, pvms
+
+
 def document_to_scenario(doc) -> Scenario:
-    """Validate and convert a parsed document into a Scenario."""
+    """Validate and convert a parsed document into a Scenario; the first
+    fault in document order raises ParseError (see the module docstring)."""
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     dim = doc.get("dimension")
@@ -157,31 +250,14 @@ def document_to_scenario(doc) -> Scenario:
     for key in ("pre", "post", "measurements"):
         if key not in doc:
             raise ParseError(f"{key}: missing required field")
-    pre = _state_projector(doc["pre"], dim, "pre")
-    post = _state_projector(doc["post"], dim, "post")
-    if not isinstance(doc["measurements"], list) or not doc["measurements"]:
-        raise ParseError("measurements: expected a nonempty list")
-    pvms = []
-    for i, entry in enumerate(doc["measurements"]):
-        where = f"measurements[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: expected an object")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"{where}.name: expected a nonempty string")
-        outcomes = entry.get("outcomes")
-        if not isinstance(outcomes, list) or len(outcomes) < 2:
-            raise ParseError(f"{where}.outcomes: expected a list of >= 2 state specs")
-        elements = tuple(
-            _state_projector(spec, dim, f"{where}.outcomes[{j}]")
-            for j, spec in enumerate(outcomes)
-        )
-        try:
-            pvms.append(Pvm(name, elements))
-        except (ToolError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+    steps, fault = _parse_states(doc, dim)
+    projectors, pvms = _build(steps)
+    if fault is not None:
+        raise fault
     try:
-        return Scenario(dim=dim, pre=pre, post=post, measurements=tuple(pvms))
+        return Scenario(
+            dim=dim, pre=projectors[0], post=projectors[1], measurements=tuple(pvms)
+        )
     except (ToolError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
 

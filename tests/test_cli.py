@@ -51,6 +51,11 @@ GOLDEN_REPORTS = [
      "tilted_three_box_detect.txt"),
     (("simulate", "--builtin", "three-box", "--pvm", "E1", "--samples", "1000000",
       "--seed", "42"), 0, "three_box_simulate.txt"),
+    # save_scenario(three_box()): explicit projector matrices, loaded as one stack
+    (("abl", "--file", str(GOLDEN_DIR / "three_box_saved.json")), 0, "three_box_abl.txt"),
+    (("detect", "--file", str(GOLDEN_DIR / "three_box_saved.json")), 0, "three_box_detect.txt"),
+    (("prove", "--file", str(GOLDEN_DIR / "three_box_saved.json")), 0, "three_box_prove.txt"),
+    (("graph", "--file", str(GOLDEN_DIR / "three_box_saved.json")), 0, "three_box.dot"),
 ]
 
 
